@@ -78,24 +78,6 @@ class Var:
     def __repr__(self):
         return f"Var(shape={self.value.shape}, requires_grad={self.requires_grad})"
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
 
 def param(value) -> Var:
     return Var(value, requires_grad=True)

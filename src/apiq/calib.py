@@ -32,8 +32,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, NumericError
 from .linalg import group_minmax, truncated_svd
-from .model import (BLOCK_LAYERS, Block, Capture, Linear, LoraPair,
-                    QuantState, TinyTransformer, forward_block)
+from .model import (Block, Capture, Linear, LoraPair, QuantState,
+                    TinyTransformer, forward_block, lora_delta)
 from .quant import (ClipParams, QuantSpec, clip_to_params, dequantize,
                     pack, quantize, ste_fake_quant)
 from .rng import RngState
@@ -214,9 +214,8 @@ class _TrainableQuant:
         if self.lora_a is not None:
             va, vbf = ad.param(self.lora_a), ad.param(self.lora_b)
             self._vars += [va, vbf]
-            rank = self.lora_a.shape[1]
-            alpha = float(rank)  # alpha = r, so the trained quantity is Q + A B^T
-            eff = ad.add(eff, ad.scale(ad.matmul(va, ad.swap_last(vbf)), alpha / rank))
+            # alpha = r, so the trained quantity is Q + A B^T
+            eff = ad.add(eff, lora_delta(va, vbf, float(self.lora_a.shape[1])))
         return eff
 
     def grads(self) -> tuple[list, list]:
@@ -326,18 +325,16 @@ def apiq_bw_block(block: Block, x_full: np.ndarray, x_q: np.ndarray,
                   n_heads: int, unit: str) -> tuple[np.ndarray, np.ndarray, list[CalibLogRow]]:
     """Calibrate all seven projections of one block jointly, in place."""
     y_full = forward_block(block, ad.Var(x_full), rope_cos, rope_sin, n_heads).value
-    states = {lname: _TrainableQuant.create(block.layers[lname], spec, rank,
-                                            stream.derive(j), plan.clip_init)
-              for j, lname in enumerate(BLOCK_LAYERS)}
-    ordered = [states[lname] for lname in BLOCK_LAYERS]
+    ordered = [_TrainableQuant.create(lay, spec, rank, stream.derive(j), plan.clip_init)
+               for j, lay in enumerate(block.layers.values())]
     opt = _optimizer(ordered, plan)
     has_lora = rank > 0
 
     def quant_forward(x: np.ndarray) -> ad.Var:
-        effs = {lname: st.effective_var(spec) for lname, st in states.items()}
+        effs = {st.layer.name: st.effective_var(spec) for st in ordered}
 
         def hook(layer: Linear, xv: ad.Var) -> ad.Var:
-            return ad.matmul(xv, effs[layer.name.rsplit(".", 1)[1]])
+            return ad.matmul(xv, effs[layer.name])
 
         return forward_block(block, ad.Var(x), rope_cos, rope_sin, n_heads, hook=hook)
 
@@ -412,34 +409,30 @@ def quantize_model(model: TinyTransformer, calib: CalibSet, plan: CalibPlan,
     capture = Capture()
     model.forward(calib.tokens, capture=capture)
 
+    x_q = capture.block_inputs[0]
     if plan.method == "apiq-lw":
         taps = capture.by_name()
-        counter = [0]
+        stream_index = {name: idx for idx, name in enumerate(student.layers)}
 
-        for i, block in enumerate(student.blocks):
-            x_q = capture.block_inputs[0] if i == 0 else x_q_next
+        def hook(layer: Linear, xv: ad.Var) -> ad.Var:
+            _, y_q, lrows = apiq_lw_layer(
+                layer, taps[layer.name].x, xv.value, plan, spec, rank,
+                rng.derive(stream_index[layer.name]))
+            rows.extend(lrows)
+            return ad.Var(y_q)
 
-            def hook(layer: Linear, xv: ad.Var) -> ad.Var:
-                idx = counter[0]
-                counter[0] += 1
-                _, y_q, lrows = apiq_lw_layer(
-                    layer, taps[layer.name].x, xv.value, plan, spec, rank,
-                    rng.derive(idx))
-                rows.extend(lrows)
-                return ad.Var(y_q)
-
-            x_q_next = forward_block(block, ad.Var(x_q), student.rope_cos,
-                                     student.rope_sin, student.config.n_heads,
-                                     hook=hook).value
+        for block in student.blocks:
+            x_q = forward_block(block, ad.Var(x_q), student.rope_cos,
+                                student.rope_sin, student.config.n_heads,
+                                hook=hook).value
         return student, rows
 
     if plan.method == "apiq-bw":
-        x_q = capture.block_inputs[0]
         for i, block in enumerate(student.blocks):
             _, x_q, brows = apiq_bw_block(
                 block, capture.block_inputs[i], x_q, plan, spec, rank,
                 rng.derive(100 + i), student.rope_cos, student.rope_sin,
-                student.config.n_heads, unit=f"blocks.{i}")
+                student.config.n_heads, unit=block.name)
             rows.extend(brows)
         return student, rows
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import log_softmax_nll
-from .errors import InputError, ShapeError
+from .errors import InputError, NumericError, ShapeError
 from .model import Capture, Linear, TinyTransformer
 
 
@@ -33,7 +33,10 @@ def perplexity(model: TinyTransformer, tokens: np.ndarray, chunk_len: int,
         tgt = batch[:, 1:].reshape(-1)
         total += float(log_softmax_nll(flat, tgt).sum())
         count += tgt.size
-    return float(np.exp(total / count))
+    ppl = float(np.exp(total / count))
+    if not np.isfinite(ppl):
+        raise NumericError(f"non-finite perplexity {ppl!r}")
+    return ppl
 
 
 @dataclass

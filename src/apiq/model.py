@@ -19,6 +19,10 @@ The forward pass is written in autodiff ops; with no active tape it is a
 plain numpy computation. `trainable` maps tensor names to Vars so callers
 choose which parameters receive gradients (all of them for pretraining,
 adapters only for finetuning).
+
+`TinyTransformer` is the one place that defines tensor names and their
+order: `layers` maps each projection name to its Linear, and
+`named_tensors()` lists every full-precision tensor in checkpoint order.
 """
 
 from __future__ import annotations
@@ -70,7 +74,12 @@ class LoraPair:
         return self.a.shape[1]
 
     def delta(self) -> np.ndarray:
-        return (self.alpha / self.rank) * (self.a @ self.b.T)
+        return lora_delta(ad.Var(self.a), ad.Var(self.b), self.alpha).value
+
+
+def lora_delta(a: ad.Var, b: ad.Var, alpha: float) -> ad.Var:
+    """The adapter term (alpha / r) * A @ B^T as a tape expression."""
+    return ad.scale(ad.matmul(a, ad.swap_last(b)), alpha / a.shape[1])
 
 
 @dataclass
@@ -113,6 +122,7 @@ class Linear:
 
 @dataclass
 class Block:
+    name: str
     norm1: np.ndarray
     norm2: np.ndarray
     layers: dict[str, Linear]
@@ -143,16 +153,6 @@ def _layer_dims(cfg: ModelConfig, lname: str) -> tuple[int, int]:
             "gate": (d, f), "up": (d, f), "down": (f, d)}[lname]
 
 
-def layer_names(cfg: ModelConfig) -> list[str]:
-    """All linear-layer names in dataflow order."""
-    names = []
-    for i in range(cfg.n_blocks):
-        for lname in BLOCK_LAYERS:
-            sub = "attn" if lname in ATTN_LAYERS else "mlp"
-            names.append(f"blocks.{i}.{sub}.{lname}")
-    return names
-
-
 class TinyTransformer:
     def __init__(self, config: ModelConfig, dtype=np.float32):
         self.config = config
@@ -160,18 +160,22 @@ class TinyTransformer:
         self.embed = np.zeros((config.vocab, config.d_model), dtype=dtype)
         self.blocks: list[Block] = []
         for i in range(config.n_blocks):
-            layers = {}
+            bname, layers = f"blocks.{i}", {}
             for lname in BLOCK_LAYERS:
                 d1, d2 = _layer_dims(config, lname)
                 sub = "attn" if lname in ATTN_LAYERS else "mlp"
-                layers[lname] = Linear(name=f"blocks.{i}.{sub}.{lname}", d1=d1, d2=d2,
+                layers[lname] = Linear(name=f"{bname}.{sub}.{lname}", d1=d1, d2=d2,
                                        weight=np.zeros((d1, d2), dtype=dtype))
             self.blocks.append(Block(
+                name=bname,
                 norm1=np.ones(config.d_model, dtype=dtype),
                 norm2=np.ones(config.d_model, dtype=dtype),
                 layers=layers))
         self.final_norm = np.ones(config.d_model, dtype=dtype)
         self.rope_cos, self.rope_sin = _rope_tables(config, dtype)
+        # name -> Linear for every projection, in dataflow order
+        self.layers = {lay.name: lay for block in self.blocks
+                       for lay in block.layers.values()}
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int, init_std: float = 0.02,
@@ -187,15 +191,23 @@ class TinyTransformer:
         return model
 
     def iter_layers(self):
-        for block in self.blocks:
-            for lname in BLOCK_LAYERS:
-                yield block.layers[lname]
+        return iter(self.layers.values())
 
     def find_layer(self, name: str) -> Linear:
-        for lay in self.iter_layers():
-            if lay.name == name:
-                return lay
-        raise KeyError(name)
+        return self.layers[name]
+
+    def named_tensors(self):
+        """(name, owner, attr) of every full-precision tensor in checkpoint
+        order; the tensor is `getattr(owner, attr)`, read live, and a
+        projection's owner is its Linear."""
+        yield "embed.weight", self, "embed"
+        for block in self.blocks:
+            for norm, lnames in (("norm1", ATTN_LAYERS), ("norm2", MLP_LAYERS)):
+                yield f"{block.name}.{norm}.weight", block, norm
+                for lname in lnames:
+                    lay = block.layers[lname]
+                    yield f"{lay.name}.weight", lay, "weight"
+        yield "final_norm.weight", self, "final_norm"
 
     def forward(self, tokens: np.ndarray, capture: Capture | None = None,
                 trainable: dict[str, ad.Var] | None = None) -> ad.Var:
@@ -233,28 +245,16 @@ def _rope_tables(cfg: ModelConfig, dtype) -> tuple[np.ndarray, np.ndarray]:
 
 def linear_apply(layer: Linear, x: ad.Var,
                  trainable: dict[str, ad.Var] | None = None) -> ad.Var:
-    """x @ W_eff with adapter factors pulled from `trainable` when present."""
+    """x @ W_eff with base and adapter factors pulled from `trainable` when
+    present."""
     trainable = trainable or {}
-    ka, kb = f"{layer.name}.lora_a", f"{layer.name}.lora_b"
-    kw = f"{layer.name}.weight"
-    train_lora = layer.lora is not None and layer.lora.rank > 0 and (
-        ka in trainable or kb in trainable)
-    if kw in trainable:
-        base: ad.Var | None = trainable[kw]
-    elif train_lora:
-        base = ad.Var(layer.base_weight())
-    else:
-        base = None
-    if base is not None:
-        eff = base
-        if layer.lora is not None and layer.lora.rank > 0:
-            a = trainable.get(ka, ad.Var(layer.lora.a))
-            b = trainable.get(kb, ad.Var(layer.lora.b))
-            delta = ad.scale(ad.matmul(a, ad.swap_last(b)),
-                             layer.lora.alpha / layer.lora.rank)
-            eff = ad.add(eff, delta)
-        return ad.matmul(x, eff)
-    return ad.matmul(x, ad.Var(layer.effective_weight()))
+    eff = trainable.get(f"{layer.name}.weight") or ad.Var(layer.base_weight())
+    lora = layer.lora
+    if lora is not None and lora.rank > 0:
+        a = trainable.get(f"{layer.name}.lora_a") or ad.Var(lora.a)
+        b = trainable.get(f"{layer.name}.lora_b") or ad.Var(lora.b)
+        eff = ad.add(eff, lora_delta(a, b, lora.alpha))
+    return ad.matmul(x, eff)
 
 
 def _default_hook(trainable, capture: Capture | None):
@@ -303,6 +303,4 @@ def forward_block(block: Block, x: ad.Var, rope_cos: np.ndarray,
 
 
 def _norm_var(block: Block, which: str, trainable: dict[str, ad.Var]) -> ad.Var:
-    lead = block.layers["q" if which == "norm1" else "gate"].name.rsplit(".", 2)[0]
-    key = f"{lead}.{which}.weight"
-    return trainable.get(key, ad.Var(getattr(block, which)))
+    return trainable.get(f"{block.name}.{which}.weight", ad.Var(getattr(block, which)))

@@ -1,8 +1,8 @@
 """Model <-> checkpoint mapping.
 
-Tensor names are canonical and ordered: "config", optional "quant.meta",
-"embed.weight", then per block norm1 / attention projections / norm2 /
-MLP projections, then "final_norm.weight". A quantized layer contributes
+A checkpoint holds "config", optional "quant.meta", then the model's
+tensors in the order of `TinyTransformer.named_tensors()`, the one place
+that defines their names and order. A quantized layer contributes
 "<layer>.qcodes" / ".scale" / ".zero" (plus ".gamma" / ".beta" when its
 clipping was learned) instead of "<layer>.weight"; an attached adapter
 adds ".lora_a" / ".lora_b".
@@ -13,9 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .checkpoint import Entry, load_tensors, save_tensors
-from .errors import FormatError
-from .model import (ATTN_LAYERS, MLP_LAYERS, Linear, LoraPair, ModelConfig,
-                    QuantState, TinyTransformer)
+from .errors import ConfigError, FormatError
+from .model import Linear, LoraPair, ModelConfig, QuantState, TinyTransformer
 from .quant import ClipParams, GroupParams, PackedCodes, QuantSpec
 
 
@@ -38,15 +37,11 @@ def model_entries(model: TinyTransformer) -> list[Entry]:
         entries.append(("quant.meta", np.array(
             [spec.bits, spec.group, gran, alpha], dtype=np.float64)))
 
-    entries.append(("embed.weight", model.embed))
-    for i, block in enumerate(model.blocks):
-        entries.append((f"blocks.{i}.norm1.weight", block.norm1))
-        for lname in ATTN_LAYERS:
-            entries.extend(_layer_entries(block.layers[lname]))
-        entries.append((f"blocks.{i}.norm2.weight", block.norm2))
-        for lname in MLP_LAYERS:
-            entries.extend(_layer_entries(block.layers[lname]))
-    entries.append(("final_norm.weight", model.final_norm))
+    for name, owner, attr in model.named_tensors():
+        if isinstance(owner, Linear):
+            entries.extend(_layer_entries(owner))
+        else:
+            entries.append((name, getattr(owner, attr)))
     return entries
 
 
@@ -79,26 +74,26 @@ def load_model(path) -> TinyTransformer:
     if "config" not in tensors:
         raise FormatError("checkpoint has no 'config' tensor")
     c = tensors["config"]
-    cfg = ModelConfig(vocab=int(c[0]), d_model=int(c[1]), n_heads=int(c[2]),
-                      d_ff=int(c[3]), n_blocks=int(c[4]), max_seq=int(c[5]),
-                      rope_theta=float(c[6]))
+    try:
+        cfg = ModelConfig(vocab=int(c[0]), d_model=int(c[1]), n_heads=int(c[2]),
+                          d_ff=int(c[3]), n_blocks=int(c[4]), max_seq=int(c[5]),
+                          rope_theta=float(c[6]))
+        spec = None
+        alpha = -1.0
+        if "quant.meta" in tensors:
+            m = tensors["quant.meta"]
+            spec = QuantSpec(bits=int(m[0]), group=int(m[1]),
+                             clip_granularity="per-group" if m[2] else "per-matrix")
+            alpha = float(m[3])
+    except ConfigError as exc:
+        raise FormatError(f"checkpoint header is invalid: {exc}") from exc
+
     model = TinyTransformer(cfg)
-
-    spec = None
-    alpha = -1.0
-    if "quant.meta" in tensors:
-        m = tensors["quant.meta"]
-        spec = QuantSpec(bits=int(m[0]), group=int(m[1]),
-                         clip_granularity="per-group" if m[2] else "per-matrix")
-        alpha = float(m[3])
-
-    model.embed = _req(tensors, "embed.weight").astype(np.float32, copy=False)
-    for i, block in enumerate(model.blocks):
-        block.norm1 = _req(tensors, f"blocks.{i}.norm1.weight").astype(np.float32, copy=False)
-        block.norm2 = _req(tensors, f"blocks.{i}.norm2.weight").astype(np.float32, copy=False)
-        for lname, lay in block.layers.items():
-            _load_layer(lay, tensors, spec, alpha)
-    model.final_norm = _req(tensors, "final_norm.weight").astype(np.float32, copy=False)
+    for name, owner, attr in model.named_tensors():
+        if isinstance(owner, Linear):
+            _load_layer(owner, tensors, spec, alpha)
+        else:
+            setattr(owner, attr, _req(tensors, name).astype(np.float32, copy=False))
     return model
 
 

@@ -31,33 +31,6 @@ class TrainLogRow:
     ppl: float | None = None
 
 
-def _param_names(model: TinyTransformer) -> list[str]:
-    names = ["embed.weight"]
-    for i, block in enumerate(model.blocks):
-        names.append(f"blocks.{i}.norm1.weight")
-        names.append(f"blocks.{i}.norm2.weight")
-        for lname in ATTN_LAYERS + MLP_LAYERS:
-            names.append(f"{block.layers[lname].name}.weight")
-    names.append("final_norm.weight")
-    return names
-
-
-def _param_arrays(model: TinyTransformer, names: list[str]) -> list[np.ndarray]:
-    arrays = []
-    for name in names:
-        if name == "embed.weight":
-            arrays.append(model.embed)
-        elif name == "final_norm.weight":
-            arrays.append(model.final_norm)
-        elif ".norm1." in name or ".norm2." in name:
-            i = int(name.split(".")[1])
-            block = model.blocks[i]
-            arrays.append(block.norm1 if ".norm1." in name else block.norm2)
-        else:
-            arrays.append(model.find_layer(name.rsplit(".", 1)[0]).weight)
-    return arrays
-
-
 def pretrain(model: TinyTransformer, corpus: np.ndarray, steps: int,
              lr: float, batch: int, seq_len: int, weight_decay: float,
              seed: int) -> list[TrainLogRow]:
@@ -67,9 +40,8 @@ def pretrain(model: TinyTransformer, corpus: np.ndarray, steps: int,
             f"corpus has {len(corpus)} bytes, need at least {4 * seq_len}")
     if seq_len + 1 > len(corpus):
         raise InputError("corpus shorter than one training window")
-    names = _param_names(model)
-    arrays = _param_arrays(model, names)
-    opt = AdamW([(arrays, lr, weight_decay)])
+    params = {name: getattr(owner, attr) for name, owner, attr in model.named_tensors()}
+    opt = AdamW([(list(params.values()), lr, weight_decay)])
     rng = RngState(seed).derive(0x7121)
 
     rows = []
@@ -77,31 +49,16 @@ def pretrain(model: TinyTransformer, corpus: np.ndarray, steps: int,
         starts = rng.randint(0, len(corpus) - seq_len - 1 + 1, (batch,))
         window = np.stack([corpus[s: s + seq_len + 1] for s in starts])
         inputs, targets = window[:, :-1], window[:, 1:]
-        trainable = {n: ad.param(a) for n, a in zip(names, arrays)}
+        trainable = {n: ad.param(a) for n, a in params.items()}
         with ad.Tape() as tape:
             logits = model.forward(inputs, trainable=trainable)
             loss = ad.cross_entropy(logits, targets)
         if not np.isfinite(loss.value):
             raise NumericError(f"non-finite pretraining loss at step {step}")
         ad.backward(tape, loss)
-        opt.step([[trainable[n].grad for n in names]])
+        opt.step([[v.grad for v in trainable.values()]])
         rows.append(TrainLogRow(epoch=0, step=step, loss=float(loss.value)))
     return rows
-
-
-def adapter_names(model: TinyTransformer, position: str) -> list[str]:
-    """Tensor names of the adapter factors trainable at `position`."""
-    if position not in POSITIONS:
-        raise ConfigError(f"unknown lora position {position!r}")
-    wanted = POSITIONS[position]
-    names = []
-    for block in model.blocks:
-        for lname in wanted:
-            lay = block.layers[lname]
-            if lay.lora is not None and lay.lora.rank > 0:
-                names.append(f"{lay.name}.lora_a")
-                names.append(f"{lay.name}.lora_b")
-    return names
 
 
 def finetune(model: TinyTransformer, corpus: np.ndarray, eval_corpus: np.ndarray,
@@ -115,14 +72,18 @@ def finetune(model: TinyTransformer, corpus: np.ndarray, eval_corpus: np.ndarray
     seeded shuffled order; the per-epoch perplexity on `eval_corpus` is
     recorded (and passed to `on_epoch` when given).
     """
-    names = adapter_names(model, position)
-    if not names:
+    if position not in POSITIONS:
+        raise ConfigError(f"unknown lora position {position!r}")
+    params = {}
+    for block in model.blocks:
+        for lname in POSITIONS[position]:
+            lay = block.layers[lname]
+            if lay.lora is not None and lay.lora.rank > 0:
+                params[f"{lay.name}.lora_a"] = lay.lora.a
+                params[f"{lay.name}.lora_b"] = lay.lora.b
+    if not params:
         raise ConfigError(f"no trainable adapters at position {position!r}")
-    arrays = []
-    for n in names:
-        lay = model.find_layer(n.rsplit(".", 1)[0])
-        arrays.append(lay.lora.a if n.endswith(".lora_a") else lay.lora.b)
-    opt = AdamW([(arrays, lr, weight_decay)])
+    opt = AdamW([(list(params.values()), lr, weight_decay)])
     rng = RngState(seed).derive(0xF17E)
 
     n_windows = (len(corpus) - 1) // seq_len
@@ -141,7 +102,7 @@ def finetune(model: TinyTransformer, corpus: np.ndarray, eval_corpus: np.ndarray
             window = np.stack([corpus[i * seq_len: i * seq_len + seq_len + 1]
                                for i in idx])
             inputs, targets = window[:, :-1], window[:, 1:]
-            trainable = {n: ad.param(a) for n, a in zip(names, arrays)}
+            trainable = {n: ad.param(a) for n, a in params.items()}
             with ad.Tape() as tape:
                 logits = model.forward(inputs, trainable=trainable)
                 loss = ad.cross_entropy(logits, targets)
@@ -150,7 +111,7 @@ def finetune(model: TinyTransformer, corpus: np.ndarray, eval_corpus: np.ndarray
                     f"non-finite finetuning loss at epoch {epoch}, step {step}")
             ad.backward(tape, loss)
             factor = _lr_factor(schedule, step, total_steps, warm_steps)
-            opt.step([[trainable[n].grad for n in names]], lr_scale=factor)
+            opt.step([[v.grad for v in trainable.values()]], lr_scale=factor)
             rows.append(TrainLogRow(epoch=epoch, step=step, loss=float(loss.value)))
             step += 1
         ppl = perplexity(model, eval_corpus, chunk_len)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from apiq import model_io
-from apiq.checkpoint import load_tensors
+from apiq.checkpoint import load_tensors, save_tensors
 from apiq.cli import main
 from apiq.model import ModelConfig, TinyTransformer
 from apiq.quant import unpack
@@ -254,3 +254,39 @@ class TestEval:
         lay = model.blocks[0].layers["q"]
         assert np.array_equal(unpack(lay.qstate.codes),
                               unpack(entries["blocks.0.attn.q.qcodes"]))
+
+
+def _tampered(src, dst, name, edit):
+    """Copy checkpoint `src` to `dst` with tensor `name` edited in place."""
+    entries = []
+    for n, t in load_tensors(src):
+        if n == name:
+            t = np.array(t, copy=True)
+            edit(t)
+        entries.append((n, t))
+    save_tensors(dst, entries)
+    return dst
+
+
+class TestCorruptCheckpoints:
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_nan_weight_eval_exit_4(self, ws, pretrained, capsys):
+        bad = _tampered(pretrained, ws / "nan.ckpt", "blocks.0.attn.q.weight",
+                        lambda t: t.__setitem__((0, 0), np.nan))
+        assert main(["eval", "--config", str(ws / "run.cfg"), "--in", str(bad),
+                     "--corpus", str(ws / "corpus.txt")]) == 4
+        assert "nan" not in capsys.readouterr().out
+
+    def test_bad_config_tensor_exit_3(self, ws, pretrained, capsys):
+        bad = _tampered(pretrained, ws / "heads.ckpt", "config",
+                        lambda t: t.__setitem__(2, 3))
+        assert main(["eval", "--in", str(bad),
+                     "--corpus", str(ws / "corpus.txt")]) == 3
+        assert "n_heads 3" in capsys.readouterr().err
+
+    def test_bad_quant_meta_exit_3(self, ws, quantized, capsys):
+        bad = _tampered(quantized, ws / "bits.ckpt", "quant.meta",
+                        lambda t: t.__setitem__(0, 5))
+        assert main(["eval", "--in", str(bad),
+                     "--corpus", str(ws / "corpus.txt")]) == 3
+        assert "bit width 5" in capsys.readouterr().err

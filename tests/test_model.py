@@ -4,7 +4,7 @@ import pytest
 from apiq import autodiff as ad
 from apiq.errors import InputError
 from apiq.linalg import group_minmax
-from apiq.model import (Capture, LoraPair, ModelConfig, QuantState,
+from apiq.model import (Capture, Linear, LoraPair, ModelConfig, QuantState,
                         TinyTransformer, forward_block)
 from apiq.quant import QuantSpec, clip_to_params, pack, quantize
 from apiq.rng import RngState
@@ -185,3 +185,77 @@ class TestRope:
         y = ad.rope_rotate(ad.Var(x), m.rope_cos[:8], m.rope_sin[:8]).value
         pair = lambda a: np.sqrt(a[..., 0::2] ** 2 + a[..., 1::2] ** 2)
         assert np.abs(pair(x) - pair(y)).max() <= 1e-6
+
+
+def _slots(model):
+    """The registry entries a checkpoint of `model` holds, in written order."""
+    from apiq import model_io
+    owners = {owner.name: name for name, owner, _ in model.named_tensors()
+              if isinstance(owner, Linear)}
+    order = []
+    for name, _ in model_io.model_entries(model)[1:]:
+        slot = owners.get(name.rsplit(".", 1)[0], name)
+        if name != "quant.meta" and (not order or order[-1] != slot):
+            order.append(slot)
+    return order
+
+
+class TestRegistry:
+    SMALL = ModelConfig(vocab=64, d_model=16, n_heads=2, d_ff=24, n_blocks=2,
+                        max_seq=16)
+
+    def _quantized(self):
+        from apiq.calib import CalibPlan, quantize_model, sample_calib
+        m = TinyTransformer.init(self.SMALL, seed=31)
+        calib = sample_calib(_tokens(32, (400,)), n_samples=2, seq_len=8, seed=33)
+        plan = CalibPlan(method="apiq-bw", epochs=1, batch_size=2, seed=34)
+        q, _ = quantize_model(m, calib, plan, QuantSpec(bits=2, group=8), rank=2)
+        assert all(lay.qstate is not None for lay in q.iter_layers())
+        return q
+
+    def test_order_matches_checkpoint_full_precision(self):
+        m = TinyTransformer.init(self.SMALL, seed=30)
+        assert _slots(m) == [name for name, _, _ in m.named_tensors()]
+
+    def test_order_matches_checkpoint_apiq_bw_2bit(self):
+        q = self._quantized()
+        assert _slots(q) == [name for name, _, _ in q.named_tensors()]
+
+    def test_layers_in_dataflow_order(self):
+        m = TinyTransformer.init(self.SMALL, seed=30)
+        cap = Capture()
+        m.forward(_tokens(35, (1, 8)), capture=cap)
+        assert list(m.layers) == [tap.name for tap in cap.layers]
+        assert all(m.find_layer(n) is lay for n, lay in m.layers.items())
+
+    @pytest.mark.parametrize("source", ["init", "load"])
+    def test_entries_are_the_arrays_forward_reads(self, source, tmp_path):
+        from apiq import model_io
+        m = TinyTransformer.init(self.SMALL, seed=36)
+        if source == "load":
+            model_io.save_model(m, tmp_path / "m.ckpt")
+            m = model_io.load_model(tmp_path / "m.ckpt")
+        toks = _tokens(37, (1, 8))
+        base = m.forward(toks).value
+        for name, owner, attr in m.named_tensors():
+            arr = getattr(owner, attr)
+            saved = arr.copy()
+            arr += 0.5
+            assert not np.array_equal(m.forward(toks).value, base), name
+            arr[...] = saved
+        assert m.forward(toks).value.tobytes() == base.tobytes()
+
+    def test_names_are_the_keys_forward_reads(self):
+        m = TinyTransformer.init(self.SMALL, seed=38)
+        trainable = {name: ad.param(getattr(owner, attr))
+                     for name, owner, attr in m.named_tensors()}
+        with ad.Tape() as tape:
+            loss = ad.cross_entropy(m.forward(_tokens(39, (1, 8)), trainable=trainable),
+                                    _tokens(40, (1, 8)))
+        ad.backward(tape, loss)
+        assert all(v.grad is not None for v in trainable.values())
+
+    def test_find_unknown_layer_raises_key_error(self):
+        m = TinyTransformer.init(self.SMALL, seed=30)
+        with pytest.raises(KeyError):
+            m.find_layer("nope")
