@@ -18,10 +18,13 @@ Layout (all integers little-endian):
     packed-codes are the LSB-first bitstream of `quant.pack`.
 
 Saving the result of a load reproduces the original file byte-for-byte.
+Saves are atomic: the bytes go to "<path>.tmp", which then replaces
+<path>.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -67,21 +70,30 @@ def save_tensors(path, entries: list[Entry]) -> None:
         offsets.append(cursor)
         cursor = _align(cursor + len(payload))
 
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(entries)))
-        for (nbytes, code, aux, dims, payload), off in zip(metas, offsets):
-            fh.write(struct.pack("<I", len(nbytes)))
-            fh.write(nbytes)
-            fh.write(struct.pack("<BBI", code, aux, len(dims)))
-            for d in dims:
-                fh.write(struct.pack("<Q", d))
-            fh.write(struct.pack("<QQ", off, len(payload)))
-        pos = fh.tell()
-        for (_, _, _, _, payload), off in zip(metas, offsets):
-            fh.write(b"\x00" * (off - pos))
-            fh.write(payload)
-            pos = off + len(payload)
+    # write a sibling temp file, then rename it over `path`: a failed save
+    # leaves the old file (or none), never a half-written one
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", VERSION, len(entries)))
+            for (nbytes, code, aux, dims, payload), off in zip(metas, offsets):
+                fh.write(struct.pack("<I", len(nbytes)))
+                fh.write(nbytes)
+                fh.write(struct.pack("<BBI", code, aux, len(dims)))
+                for d in dims:
+                    fh.write(struct.pack("<Q", d))
+                fh.write(struct.pack("<QQ", off, len(payload)))
+            pos = fh.tell()
+            for (_, _, _, _, payload), off in zip(metas, offsets):
+                fh.write(b"\x00" * (off - pos))
+                fh.write(payload)
+                pos = off + len(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:

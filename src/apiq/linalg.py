@@ -1,8 +1,9 @@
 """Dense kernels: checked matmul, group-wise min/max, truncated SVD.
 
 Values are plain numpy arrays (row-major, f32 by default; the SVD and
-gradient-check paths run in f64). All functions are pure and, at a fixed
-thread count, bitwise reproducible run-to-run.
+gradient-check paths run in f64). The SVD is numpy's LAPACK call with a
+fixed sign convention. All functions are pure and, at a fixed thread
+count, bitwise reproducible run-to-run.
 """
 
 from __future__ import annotations
@@ -56,118 +57,26 @@ class SvdResult:
     v: np.ndarray
 
 
-def _round_robin_pairs(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Tournament schedule: n-1 rounds of disjoint column pairs covering
-    every (p, q) pair once; disjointness lets each round rotate in bulk."""
-    players = list(range(n)) + ([-1] if n % 2 else [])
-    m = len(players)
-    rounds = []
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            x, y = players[i], players[m - 1 - i]
-            if x >= 0 and y >= 0:
-                ps.append(min(x, y))
-                qs.append(max(x, y))
-        rounds.append((np.array(ps), np.array(qs)))
-        players = [players[0], players[-1]] + players[1:-1]
-    return rounds
+def truncated_svd(m: np.ndarray, rank: int) -> SvdResult:
+    """Top-`rank` SVD of a matrix, computed in f64 by LAPACK.
 
-
-def truncated_svd(m: np.ndarray, rank: int, max_sweeps: int = 60,
-                  tol: float = 1e-10) -> SvdResult:
-    """Top-`rank` SVD via one-sided Jacobi rotations, computed in f64.
-
-    Columns of the working matrix are rotated pairwise until all column
-    pairs are mutually orthogonal to relative tolerance `tol`; singular
-    values are then the column norms. The rotation side is chosen so the
-    pairs run over the smaller dimension, and each tournament round
-    rotates its disjoint pairs in one vectorized step.
+    Signs are fixed so that each column of U has its largest-magnitude
+    entry positive (the first such entry on ties), with the matching
+    column of V flipped alongside; a non-finite input raises
+    `NumericError`.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"expected a matrix, got shape {m.shape}")
-    d1, d2 = m.shape
-    if rank < 1 or rank > min(d1, d2):
+    if rank < 1 or rank > min(m.shape):
         raise ValueError(f"rank {rank} out of range for shape {m.shape}")
-
-    transposed = d2 > d1
-    a = (m.T if transposed else m).copy()
-    n = a.shape[1]
-    v = np.eye(n)
-    sqnorm = np.einsum("ij,ij->j", a, a)
-    rounds = _round_robin_pairs(n)
-
-    converged = n < 2
-    for _ in range(max_sweeps):
-        if converged:
-            break
-        rotated_any = False
-        for p_idx, q_idx in rounds:
-            ap, aq = a[:, p_idx], a[:, q_idx]
-            gamma = np.einsum("ij,ij->j", ap, aq)
-            alpha, beta = sqnorm[p_idx], sqnorm[q_idx]
-            denom = np.sqrt(alpha * beta)
-            active = (denom > 0.0) & (np.abs(gamma) > tol * denom)
-            if not active.any():
-                continue
-            rotated_any = True
-            g = gamma[active]
-            zeta = (beta[active] - alpha[active]) / (2.0 * g)
-            t = np.sign(zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-            t = np.where(zeta == 0.0, 1.0, t)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = c * t
-            pa, qa = p_idx[active], q_idx[active]
-            ap, aq = a[:, pa], a[:, qa]
-            a[:, pa] = c * ap - s * aq
-            a[:, qa] = s * ap + c * aq
-            vp, vq = v[:, pa], v[:, qa]
-            v[:, pa] = c * vp - s * vq
-            v[:, qa] = s * vp + c * vq
-            sqnorm[pa] = np.einsum("ij,ij->j", a[:, pa], a[:, pa])
-            sqnorm[qa] = np.einsum("ij,ij->j", a[:, qa], a[:, qa])
-        converged = not rotated_any
-    if not converged:
-        off = _max_relative_offdiag(a, sqnorm)
-        raise NumericError(f"Jacobi SVD did not converge; residual off-norm {off:.3e}")
-
-    s_all = np.sqrt(sqnorm)
-    order = np.argsort(-s_all, kind="stable")
-    s_sorted = s_all[order]
-    u = a[:, order]
-    v = v[:, order]
-    scale = s_sorted[0] if s_sorted.size and s_sorted[0] > 0 else 1.0
-    for j in range(n):
-        if s_sorted[j] > scale * 1e-300:
-            u[:, j] /= s_sorted[j]
-        else:
-            u[:, j] = _complete_column(u, j)
-            s_sorted[j] = 0.0
-
-    u, s_top, v = u[:, :rank], s_sorted[:rank], v[:, :rank]
-    if transposed:
-        u, v = v, u
-    return SvdResult(u=u, s=s_top, v=v)
-
-
-def _max_relative_offdiag(a: np.ndarray, sqnorm: np.ndarray) -> float:
-    gram = np.abs(a.T @ a)
-    np.fill_diagonal(gram, 0.0)
-    denom = np.sqrt(np.outer(sqnorm, sqnorm))
-    denom[denom == 0.0] = 1.0
-    return float((gram / denom).max())
-
-
-def _complete_column(u: np.ndarray, j: int) -> np.ndarray:
-    # Deterministic orthonormal fill-in for a numerically zero column.
-    d = u.shape[0]
-    for k in range(d):
-        cand = np.zeros(d)
-        cand[k] = 1.0
-        for i in range(j):
-            cand -= (u[:, i] @ cand) * u[:, i]
-        norm = np.linalg.norm(cand)
-        if norm > 1e-6:
-            return cand / norm
-    raise NumericError("could not complete orthonormal basis")
+    if not np.isfinite(m).all():
+        raise NumericError("SVD input has non-finite entries")
+    try:
+        u, s, vt = np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD failed: {exc}") from exc
+    u, s, v = u[:, :rank], s[:rank], vt[:rank].T
+    cols = np.arange(rank)
+    signs = np.where(u[np.abs(u).argmax(axis=0), cols] < 0, -1.0, 1.0)
+    return SvdResult(u=u * signs, s=s, v=v * signs)

@@ -54,6 +54,9 @@ class ModelConfig:
     rope_theta: float = 10000.0
 
     def __post_init__(self):
+        if min(self.vocab, self.d_model, self.n_heads, self.d_ff, self.n_blocks,
+               self.max_seq) < 1:
+            raise ConfigError(f"model sizes must be positive, got {self}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")

@@ -69,19 +69,18 @@ def save_model(model: TinyTransformer, path) -> None:
 
 
 def load_model(path) -> TinyTransformer:
-    entries = load_tensors(path)
-    tensors = dict(entries)
-    if "config" not in tensors:
-        raise FormatError("checkpoint has no 'config' tensor")
-    c = tensors["config"]
+    """Rebuild a model from a checkpoint, checking every tensor against the
+    shape its config implies; any mismatch raises `FormatError`."""
+    tensors = dict(load_tensors(path))
+    c = _header(tensors, "config", 7)
+    m = _header(tensors, "quant.meta", 4) if "quant.meta" in tensors else None
     try:
         cfg = ModelConfig(vocab=int(c[0]), d_model=int(c[1]), n_heads=int(c[2]),
                           d_ff=int(c[3]), n_blocks=int(c[4]), max_seq=int(c[5]),
                           rope_theta=float(c[6]))
         spec = None
         alpha = -1.0
-        if "quant.meta" in tensors:
-            m = tensors["quant.meta"]
+        if m is not None:
             spec = QuantSpec(bits=int(m[0]), group=int(m[1]),
                              clip_granularity="per-group" if m[2] else "per-matrix")
             alpha = float(m[3])
@@ -93,37 +92,59 @@ def load_model(path) -> TinyTransformer:
         if isinstance(owner, Linear):
             _load_layer(owner, tensors, spec, alpha)
         else:
-            setattr(owner, attr, _req(tensors, name).astype(np.float32, copy=False))
+            setattr(owner, attr, _req(tensors, name, getattr(owner, attr).shape))
     return model
 
 
-def _req(tensors: dict, name: str):
+def _header(tensors: dict, name: str, size: int) -> np.ndarray:
+    t = tensors.get(name)
+    if t is None:
+        raise FormatError(f"checkpoint has no {name!r} tensor")
+    if not isinstance(t, np.ndarray) or t.shape != (size,) or not np.isfinite(t).all():
+        raise FormatError(f"{name!r} tensor must hold {size} finite values")
+    return t
+
+
+def _req(tensors: dict, name: str, shape: tuple) -> np.ndarray:
+    """Float tensor `name` as f32; a None in `shape` matches any extent."""
     if name not in tensors:
         raise FormatError(f"checkpoint is missing tensor {name!r}")
-    return tensors[name]
+    t = tensors[name]
+    if not (isinstance(t, np.ndarray) and t.ndim == len(shape)
+            and all(w is None or g == w for g, w in zip(t.shape, shape))):
+        raise FormatError(f"tensor {name!r} must be a float array of shape {shape}, "
+                          f"got {type(t).__name__} {t.shape}")
+    return t.astype(np.float32, copy=False)
 
 
 def _load_layer(layer: Linear, tensors: dict, spec: QuantSpec | None,
                 alpha: float) -> None:
-    n = layer.name
+    n, d1, d2 = layer.name, layer.d1, layer.d2
     if f"{n}.qcodes" in tensors:
         if spec is None:
             raise FormatError(f"layer {n!r} has codes but no 'quant.meta'")
-        codes: PackedCodes = tensors[f"{n}.qcodes"]
-        params = GroupParams(scale=_req(tensors, f"{n}.scale").astype(np.float32, copy=False),
-                             zero=_req(tensors, f"{n}.zero").astype(np.float32, copy=False))
+        if d1 % spec.group:
+            raise FormatError(f"group size {spec.group} does not divide {n!r} rows {d1}")
+        codes = tensors[f"{n}.qcodes"]
+        if not (isinstance(codes, PackedCodes) and codes.shape == (d1, d2)
+                and codes.bits == spec.bits):
+            raise FormatError(f"{n!r} codes must be {spec.bits}-bit packed ({d1}, {d2})")
+        groups = (d1 // spec.group, d2)
+        params = GroupParams(scale=_req(tensors, f"{n}.scale", groups),
+                             zero=_req(tensors, f"{n}.zero", groups))
         clip = None
         if f"{n}.gamma" in tensors:
-            clip = ClipParams(gamma=tensors[f"{n}.gamma"].astype(np.float32, copy=False),
-                              beta=_req(tensors, f"{n}.beta").astype(np.float32, copy=False))
+            clip_shape = ClipParams.init(spec, d1, d2).gamma.shape
+            clip = ClipParams(gamma=_req(tensors, f"{n}.gamma", clip_shape),
+                              beta=_req(tensors, f"{n}.beta", clip_shape))
         layer.weight = None
         layer.qstate = QuantState(codes=codes, params=params, clip=clip, spec=spec)
     else:
-        layer.weight = _req(tensors, f"{n}.weight").astype(np.float32, copy=False)
+        layer.weight = _req(tensors, f"{n}.weight", (d1, d2))
         layer.qstate = None
     if f"{n}.lora_a" in tensors:
-        a = tensors[f"{n}.lora_a"].astype(np.float32, copy=False)
-        b = _req(tensors, f"{n}.lora_b").astype(np.float32, copy=False)
+        a = _req(tensors, f"{n}.lora_a", (d1, None))
+        b = _req(tensors, f"{n}.lora_b", (d2, a.shape[1]))
         layer.lora = LoraPair(a=a, b=b, alpha=alpha if alpha >= 0 else a.shape[1])
     else:
         layer.lora = None

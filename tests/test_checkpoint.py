@@ -6,8 +6,8 @@ from apiq.checkpoint import load_tensors, save_tensors
 from apiq.errors import FormatError
 from apiq.linalg import group_minmax
 from apiq.model import ModelConfig, QuantState, TinyTransformer
-from apiq.quant import (ClipParams, QuantSpec, clip_to_params, pack, quantize,
-                        unpack)
+from apiq.quant import (ClipParams, PackedCodes, QuantSpec, clip_to_params, pack,
+                        quantize, unpack)
 from apiq.rng import RngState
 
 CFG = ModelConfig(vocab=32, d_model=16, n_heads=2, d_ff=24, n_blocks=1, max_seq=16)
@@ -101,6 +101,24 @@ class TestRawFormat:
         assert arr.shape == (0, 3)
 
 
+    # `data` is not bytes, so the write fails after the directory is written
+    UNWRITABLE = ("bad", PackedCodes(data=[1, 2, 3], shape=(1, 3), bits=8))
+
+    def test_failed_save_leaves_no_target(self, tmp_path):
+        p = tmp_path / "t.ckpt"
+        with pytest.raises(TypeError):
+            save_tensors(p, [("ok", np.ones(4, dtype=np.float32)), self.UNWRITABLE])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_save_keeps_old_bytes(self, tmp_path):
+        p = tmp_path / "t.ckpt"
+        save_tensors(p, [("ok", np.ones(4, dtype=np.float32))])
+        old = p.read_bytes()
+        with pytest.raises(TypeError):
+            save_tensors(p, [("ok", np.zeros(4, dtype=np.float32)), self.UNWRITABLE])
+        assert p.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [p]
+
 def _directory_offsets(path):
     import struct
     blob = path.read_bytes()
@@ -157,3 +175,47 @@ class TestModelCheckpoints:
         m2 = model_io.load_model(p)
         for lay, lay2 in zip(m.iter_layers(), m2.iter_layers()):
             assert np.array_equal(unpack(lay.qstate.codes), unpack(lay2.qstate.codes))
+
+
+def _resave(src, dst, edits):
+    """Copy checkpoint `src` to `dst`, replacing tensors named in `edits`."""
+    save_tensors(dst, [(n, edits.get(n, t)) for n, t in load_tensors(src)])
+    return dst
+
+
+class TestLoadChecks:
+    @pytest.fixture
+    def qckpt(self, tmp_path):
+        p = tmp_path / "q.ckpt"
+        model_io.save_model(_quantized_model(), p)
+        return p
+
+    @pytest.mark.parametrize("name, bad", [
+        ("embed.weight", np.zeros((31, 16), dtype=np.float32)),
+        ("blocks.0.norm1.weight", np.ones(15, dtype=np.float32)),
+        ("blocks.0.attn.q.scale", np.ones((1, 16), dtype=np.float32)),
+        ("blocks.0.attn.q.gamma", np.ones((2, 16), dtype=np.float32)),
+        ("blocks.0.attn.q.lora_a", np.zeros((8, 2), dtype=np.float32)),
+        ("blocks.0.attn.q.lora_b", np.zeros((16, 3), dtype=np.float32)),
+        ("blocks.0.attn.q.qcodes", pack(np.zeros((16, 8)), QuantSpec(bits=2))),
+        ("blocks.0.attn.q.qcodes", pack(np.zeros((16, 16)), QuantSpec(bits=4))),
+        ("blocks.0.attn.q.zero", pack(np.zeros((2, 16)), QuantSpec(bits=2))),
+    ])
+    def test_mismatch_raises_format_error(self, qckpt, tmp_path, name, bad):
+        bad_path = _resave(qckpt, tmp_path / "bad.ckpt", {name: bad})
+        with pytest.raises(FormatError, match=name.rsplit(".", 1)[0]):
+            model_io.load_model(bad_path)
+
+    @pytest.mark.parametrize("config", [
+        np.zeros(3), np.full(7, np.nan), np.array([32, 16, 0, 24, 1, 16, 1e4]),
+        np.array([32, 16, 2, 24, 1, 16, np.inf]), np.zeros((7, 1)),
+    ])
+    def test_bad_config_raises_format_error(self, qckpt, tmp_path, config):
+        bad_path = _resave(qckpt, tmp_path / "bad.ckpt", {"config": config})
+        with pytest.raises(FormatError):
+            model_io.load_model(bad_path)
+
+    def test_short_quant_meta_raises_format_error(self, qckpt, tmp_path):
+        bad_path = _resave(qckpt, tmp_path / "bad.ckpt", {"quant.meta": np.array([2.0])})
+        with pytest.raises(FormatError, match="quant.meta"):
+            model_io.load_model(bad_path)

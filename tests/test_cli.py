@@ -290,3 +290,29 @@ class TestCorruptCheckpoints:
         assert main(["eval", "--in", str(bad),
                      "--corpus", str(ws / "corpus.txt")]) == 3
         assert "bit width 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [np.array([256.0, 32.0, 4.0]),
+                                        np.full(7, np.nan)])
+    def test_short_or_nan_config_exit_3(self, ws, pretrained, capsys, config):
+        bad = ws / "cfg7.ckpt"
+        save_tensors(bad, [(n, config if n == "config" else t)
+                           for n, t in load_tensors(pretrained)])
+        assert main(["eval", "--in", str(bad),
+                     "--corpus", str(ws / "corpus.txt")]) == 3
+        assert "'config' tensor must hold 7 finite values" in capsys.readouterr().err
+
+    def test_short_embedding_exit_3(self, ws, pretrained, capsys):
+        bad = ws / "embed.ckpt"
+        save_tensors(bad, [(n, t[:10] if n == "embed.weight" else t)
+                           for n, t in load_tensors(pretrained)])
+        assert main(["eval", "--in", str(bad),
+                     "--corpus", str(ws / "corpus.txt")]) == 3
+        assert "'embed.weight'" in capsys.readouterr().err
+
+    def test_wrong_weight_shape_exit_3(self, ws, pretrained, capsys):
+        bad = ws / "qshape.ckpt"
+        save_tensors(bad, [(n, t[:16, :8] if n == "blocks.0.attn.q.weight" else t)
+                           for n, t in load_tensors(pretrained)])
+        assert main(["eval", "--in", str(bad),
+                     "--corpus", str(ws / "corpus.txt")]) == 3
+        assert "'blocks.0.attn.q.weight'" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from apiq.errors import ConfigError, ShapeError
+from apiq.errors import ConfigError, NumericError, ShapeError
 from apiq.linalg import group_minmax, matmul, truncated_svd
 from apiq.rng import RngState
 
@@ -122,3 +122,43 @@ class TestTruncatedSvd:
         assert a.u.tobytes() == b.u.tobytes()
         assert a.s.tobytes() == b.s.tobytes()
         assert a.v.tobytes() == b.v.tobytes()
+
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 6), (9, 9)])
+    def test_sign_convention(self, shape):
+        m = RngState(9).randn(shape)
+        res = truncated_svd(m, min(shape))
+        cols = np.arange(res.u.shape[1])
+        first_max = np.abs(res.u).argmax(axis=0)
+        assert np.all(res.u[first_max, cols] > 0)
+        assert np.abs(res.u @ np.diag(res.s) @ res.v.T - m).max() < 1e-12
+
+    def test_sign_tie_takes_first_entry(self, monkeypatch):
+        # an exact magnitude tie in u's first column: its first entry decides
+        u = np.array([[-0.6, 0.8], [0.6, 0.0], [0.0, -0.6]])
+        vt = np.eye(2)
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **k: (u, np.array([2.0, 1.0]), vt))
+        res = truncated_svd(np.ones((3, 2)), 2)
+        assert np.array_equal(res.u, [[0.6, 0.8], [-0.6, 0.0], [0.0, -0.6]])
+        assert np.array_equal(res.v, [[-1.0, 0.0], [0.0, 1.0]])
+
+    def test_rank_deficient_zero_matrix(self):
+        res = truncated_svd(np.zeros((5, 3)), 3)
+        assert np.array_equal(res.s, np.zeros(3))
+        assert np.abs(res.u.T @ res.u - np.eye(3)).max() <= 1e-12
+        assert np.abs(res.v.T @ res.v - np.eye(3)).max() <= 1e-12
+
+    def test_infinite_entry_raises(self):
+        with pytest.raises(NumericError):
+            truncated_svd(np.array([[np.inf, 1.0], [1.0, 1.0]]), 1)
+
+    def test_all_nan_raises(self):
+        with pytest.raises(NumericError):
+            truncated_svd(np.full((3, 3), np.nan), 2)
+
+    def test_lapack_failure_maps_to_numeric_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NumericError):
+            truncated_svd(np.eye(3), 2)

@@ -177,6 +177,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ModelConfig(d_model=12, n_heads=4)
 
+    @pytest.mark.parametrize("field", ["vocab", "d_model", "n_heads", "d_ff",
+                                       "n_blocks", "max_seq"])
+    def test_sizes_must_be_positive(self, field):
+        from apiq.errors import ConfigError
+        with pytest.raises(ConfigError, match="positive"):
+            ModelConfig(**{field: 0})
+
 
 class TestRope:
     def test_norm_preservation(self):
