@@ -11,9 +11,10 @@ already-quantized prefix of the network, and Q the fake-quantized weight
 (straight-through rounding, scale and zero-point recomputed from the
 current clipping logits on every batch). The block-wise variant optimizes
 all seven projections of a transformer block jointly against the
-full-precision block output. Both track the epoch-end loss on the whole
-calibration set and keep the best-seen parameter state, so the retained
-loss never exceeds the value at initialization.
+full-precision block output. Both variants run one shared AdamW loop
+(`_calibrate`) that tracks the epoch-end loss on the whole calibration set
+and keeps the best-seen parameter state, so the retained loss never
+exceeds the value at initialization.
 
 Adapters start from the standard low-rank-adapter default (A uniform in
 +-1/sqrt(d1), B = 0) so the initial loss equals the pure-quantization
@@ -181,94 +182,91 @@ class CalibLogRow:
 
 @dataclass
 class _TrainableQuant:
-    """Per-layer trainable state shared by the lw and bw loops."""
+    """One layer's clip logits and adapter, with its weight's group extrema."""
 
     layer: Linear
     mins: np.ndarray
     maxs: np.ndarray
     gamma: np.ndarray
     beta: np.ndarray
-    lora_a: np.ndarray | None
-    lora_b: np.ndarray | None
+    lora: LoraPair | None
 
     @classmethod
     def create(cls, layer: Linear, spec: QuantSpec, rank: int,
                stream: RngState, clip_init: float) -> "_TrainableQuant":
         mins, maxs = group_minmax(layer.weight, spec.group)
         clip = ClipParams.init(spec, layer.d1, layer.d2, value=clip_init)
-        lora = _lora_default(layer.d1, layer.d2, rank, stream)
-        return cls(layer=layer, mins=mins, maxs=maxs,
-                   gamma=clip.gamma, beta=clip.beta,
-                   lora_a=None if lora is None else lora.a,
-                   lora_b=None if lora is None else lora.b)
+        return cls(layer=layer, mins=mins, maxs=maxs, gamma=clip.gamma,
+                   beta=clip.beta, lora=_lora_default(layer.d1, layer.d2, rank, stream))
 
-    def params(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        lora = [] if self.lora_a is None else [self.lora_a, self.lora_b]
-        return lora, [self.gamma, self.beta]
-
-    def effective_var(self, spec: QuantSpec) -> ad.Var:
-        """Tape expression Q(gamma, beta) + A B^T for the current state."""
-        vg, vb = ad.param(self.gamma), ad.param(self.beta)
-        self._vars = [vg, vb]
-        eff = ste_fake_quant(self.layer.weight, vg, vb, spec, self.mins, self.maxs)
-        if self.lora_a is not None:
-            va, vbf = ad.param(self.lora_a), ad.param(self.lora_b)
-            self._vars += [va, vbf]
-            # alpha = r, so the trained quantity is Q + A B^T
-            eff = ad.add(eff, lora_delta(va, vbf, float(self.lora_a.shape[1])))
+    def effective_var(self, spec: QuantSpec, leaves: dict[int, ad.Var]) -> ad.Var:
+        """Tape expression Q(gamma, beta) + A B^T over the leaf Vars that
+        `leaves` maps each trainable array's `id` to."""
+        eff = ste_fake_quant(self.layer.weight, leaves[id(self.gamma)],
+                             leaves[id(self.beta)], spec, self.mins, self.maxs)
+        if self.lora is not None:
+            a, b = leaves[id(self.lora.a)], leaves[id(self.lora.b)]
+            eff = ad.add(eff, lora_delta(a, b, self.lora.alpha))
         return eff
-
-    def grads(self) -> tuple[list, list]:
-        vs = self._vars
-        theta = [vs[0].grad, vs[1].grad]
-        lora = [vs[2].grad, vs[3].grad] if len(vs) > 2 else []
-        return lora, theta
-
-    def snapshot(self) -> list[np.ndarray]:
-        lora, theta = self.params()
-        return [p.copy() for p in lora + theta]
-
-    def restore(self, saved: list[np.ndarray]) -> None:
-        lora, theta = self.params()
-        for dst, src in zip(lora + theta, saved):
-            np.copyto(dst, src)
 
     def freeze(self, spec: QuantSpec) -> None:
         clip = ClipParams(gamma=self.gamma, beta=self.beta)
         params = clip_to_params(self.mins, self.maxs, clip, spec)
         codes = quantize(self.layer.weight, params, spec)
-        lora = None
-        if self.lora_a is not None:
-            lora = LoraPair(a=self.lora_a, b=self.lora_b,
-                            alpha=float(self.lora_a.shape[1]))
-        _freeze(self.layer, codes, params, clip, spec, lora)
+        _freeze(self.layer, codes, params, clip, spec, self.lora)
 
 
-def _optimizer(states: list[_TrainableQuant], plan: CalibPlan) -> AdamW:
-    lora, theta = [], []
+def _calibrate(states: list[_TrainableQuant], forward, x_q: np.ndarray,
+               y_full: np.ndarray, plan: CalibPlan, spec: QuantSpec,
+               unit: str) -> list[CalibLogRow]:
+    """Minimize MSE(forward(X^q) - Y) over the states' clip logits and
+    adapters with AdamW; the loop both calibration variants share.
+
+    `forward(x, effs)` maps a batch and one effective-weight expression
+    per state to the unit's output. The loss on the whole set is taken
+    after every epoch; the best state seen (strictly lower loss) is
+    restored and every state frozen. Returns the per-epoch log.
+    """
+    lora = [p for st in states if st.lora is not None for p in (st.lora.a, st.lora.b)]
+    theta = [p for st in states for p in (st.gamma, st.beta)]
+    groups = [(ps, lr, plan.weight_decay)
+              for ps, lr in ((lora, plan.lr_lora), (theta, plan.lr_theta)) if ps]
+    opt = AdamW(groups)
+    params = lora + theta
+
+    def run(x: np.ndarray) -> tuple[ad.Var, dict[int, ad.Var]]:
+        leaves = {id(p): ad.param(p) for p in params}
+        return forward(x, [st.effective_var(spec, leaves) for st in states]), leaves
+
+    def full_loss() -> float:
+        # in place: f64 temporaries of the whole set cost more than the
+        # arithmetic; the values are those of (d * d).mean()
+        d = run(x_q)[0].value.astype(np.float64)
+        d -= y_full
+        d *= d
+        return float(d.mean())
+
+    best, best_state = full_loss(), [p.copy() for p in params]
+    rows = [CalibLogRow(unit=unit, epoch=0, loss=best)]
+    for epoch in range(1, plan.epochs + 1):
+        for bi, lo in enumerate(range(0, len(x_q), plan.batch_size)):
+            with ad.Tape() as tape:
+                out, leaves = run(x_q[lo:lo + plan.batch_size])
+                loss = ad.mse(out, y_full[lo:lo + plan.batch_size])
+            if not np.isfinite(loss.value):
+                raise NumericError(f"non-finite loss at {unit}, epoch {epoch}, batch {bi}")
+            ad.backward(tape, loss)
+            opt.step([[leaves[id(p)].grad for p in ps] for ps, _, _ in groups])
+        end = full_loss()
+        rows.append(CalibLogRow(unit=unit, epoch=epoch, loss=end))
+        if end < best:
+            best, best_state = end, [p.copy() for p in params]
+
+    for dst, src in zip(params, best_state):
+        np.copyto(dst, src)
     for st in states:
-        lg, tg = st.params()
-        lora += lg
-        theta += tg
-    groups = []
-    if lora:
-        groups.append((lora, plan.lr_lora, plan.weight_decay))
-    groups.append((theta, plan.lr_theta, plan.weight_decay))
-    return AdamW(groups)
-
-
-def _collect_grads(states: list[_TrainableQuant], has_lora: bool) -> list[list]:
-    lora, theta = [], []
-    for st in states:
-        lg, tg = st.grads()
-        lora += lg
-        theta += tg
-    return [lora, theta] if has_lora else [theta]
-
-
-def _batches(n: int, size: int):
-    for start in range(0, n, size):
-        yield start, min(start + size, n)
+        st.freeze(spec)
+    return rows
 
 
 def apiq_lw_layer(layer: Linear, x_full: np.ndarray, x_q: np.ndarray,
@@ -280,43 +278,11 @@ def apiq_lw_layer(layer: Linear, x_full: np.ndarray, x_q: np.ndarray,
     full path); Y^q is X^q (Q + A B^T) with the retained parameters, i.e.
     exactly what the frozen layer will produce at inference.
     """
-    w = layer.weight
-    y_full = x_full @ w
+    y_full = x_full @ layer.weight
     state = _TrainableQuant.create(layer, spec, rank, stream, plan.clip_init)
-    opt = _optimizer([state], plan)
-    has_lora = rank > 0
-
-    def full_loss() -> float:
-        eff = state.effective_var(spec).value
-        d = x_q @ eff - y_full
-        return float((d.astype(np.float64) ** 2).mean())
-
-    best = full_loss()
-    best_state = state.snapshot()
-    rows = [CalibLogRow(unit=layer.name, epoch=0, loss=best)]
-
-    n = x_full.shape[0]
-    for epoch in range(1, plan.epochs + 1):
-        for bi, (lo, hi) in enumerate(_batches(n, plan.batch_size)):
-            with ad.Tape() as tape:
-                eff = state.effective_var(spec)
-                yq = ad.matmul(ad.Var(x_q[lo:hi]), eff)
-                loss = ad.mse(yq, y_full[lo:hi])
-            if not np.isfinite(loss.value):
-                raise NumericError(
-                    f"non-finite loss at layer {layer.name}, epoch {epoch}, batch {bi}")
-            ad.backward(tape, loss)
-            opt.step(_collect_grads([state], has_lora))
-        end = full_loss()
-        rows.append(CalibLogRow(unit=layer.name, epoch=epoch, loss=end))
-        if end < best:
-            best = end
-            best_state = state.snapshot()
-
-    state.restore(best_state)
-    state.freeze(spec)
-    y_q = x_q @ layer.effective_weight()
-    return y_full, y_q, rows
+    rows = _calibrate([state], lambda x, effs: ad.matmul(ad.Var(x), effs[0]),
+                      x_q, y_full, plan, spec, layer.name)
+    return y_full, x_q @ layer.effective_weight(), rows
 
 
 def apiq_bw_block(block: Block, x_full: np.ndarray, x_q: np.ndarray,
@@ -325,47 +291,15 @@ def apiq_bw_block(block: Block, x_full: np.ndarray, x_q: np.ndarray,
                   n_heads: int, unit: str) -> tuple[np.ndarray, np.ndarray, list[CalibLogRow]]:
     """Calibrate all seven projections of one block jointly, in place."""
     y_full = forward_block(block, ad.Var(x_full), rope_cos, rope_sin, n_heads).value
-    ordered = [_TrainableQuant.create(lay, spec, rank, stream.derive(j), plan.clip_init)
-               for j, lay in enumerate(block.layers.values())]
-    opt = _optimizer(ordered, plan)
-    has_lora = rank > 0
+    states = [_TrainableQuant.create(lay, spec, rank, stream.derive(j), plan.clip_init)
+              for j, lay in enumerate(block.layers.values())]
 
-    def quant_forward(x: np.ndarray) -> ad.Var:
-        effs = {st.layer.name: st.effective_var(spec) for st in ordered}
+    def forward(x: np.ndarray, effs: list[ad.Var]) -> ad.Var:
+        by_name = {st.layer.name: eff for st, eff in zip(states, effs)}
+        return forward_block(block, ad.Var(x), rope_cos, rope_sin, n_heads,
+                             hook=lambda layer, xv: ad.matmul(xv, by_name[layer.name]))
 
-        def hook(layer: Linear, xv: ad.Var) -> ad.Var:
-            return ad.matmul(xv, effs[layer.name])
-
-        return forward_block(block, ad.Var(x), rope_cos, rope_sin, n_heads, hook=hook)
-
-    def full_loss() -> float:
-        d = quant_forward(x_q).value.astype(np.float64) - y_full
-        return float((d * d).mean())
-
-    best = full_loss()
-    best_state = [st.snapshot() for st in ordered]
-    rows = [CalibLogRow(unit=unit, epoch=0, loss=best)]
-
-    n = x_full.shape[0]
-    for epoch in range(1, plan.epochs + 1):
-        for bi, (lo, hi) in enumerate(_batches(n, plan.batch_size)):
-            with ad.Tape() as tape:
-                out = quant_forward(x_q[lo:hi])
-                loss = ad.mse(out, y_full[lo:hi])
-            if not np.isfinite(loss.value):
-                raise NumericError(
-                    f"non-finite loss at block {unit}, epoch {epoch}, batch {bi}")
-            ad.backward(tape, loss)
-            opt.step(_collect_grads(ordered, has_lora))
-        end = full_loss()
-        rows.append(CalibLogRow(unit=unit, epoch=epoch, loss=end))
-        if end < best:
-            best = end
-            best_state = [st.snapshot() for st in ordered]
-
-    for st, saved in zip(ordered, best_state):
-        st.restore(saved)
-        st.freeze(spec)
+    rows = _calibrate(states, forward, x_q, y_full, plan, spec, unit)
     y_q = forward_block(block, ad.Var(x_q), rope_cos, rope_sin, n_heads).value
     return y_full, y_q, rows
 
@@ -384,6 +318,8 @@ def quantize_model(model: TinyTransformer, calib: CalibSet, plan: CalibPlan,
     for lay in model.iter_layers():
         if lay.qstate is not None:
             raise ConfigError("model is already quantized")
+        if not np.isfinite(lay.weight).all():
+            raise NumericError(f"non-finite weight in layer {lay.name}")
         if lay.d1 % spec.group != 0:
             raise ConfigError(
                 f"group size {spec.group} does not divide layer {lay.name} input dim")

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -55,6 +56,22 @@ def _entry_meta(obj) -> tuple[int, int, tuple[int, ...], bytes]:
     raise ValueError(f"unsupported tensor dtype {arr.dtype}")
 
 
+@contextmanager
+def atomic_open(path, mode: str = "wb", **kwargs):
+    """Open "<path>.tmp" for writing and rename it over `path` once the block
+    ends. If the block raises, the temp file is removed: a failed write
+    leaves the old file (or none), never a half-written one."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_tensors(path, entries: list[Entry]) -> None:
     metas = []
     dir_size = len(MAGIC) + 4 + 4
@@ -70,30 +87,21 @@ def save_tensors(path, entries: list[Entry]) -> None:
         offsets.append(cursor)
         cursor = _align(cursor + len(payload))
 
-    # write a sibling temp file, then rename it over `path`: a failed save
-    # leaves the old file (or none), never a half-written one
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<II", VERSION, len(entries)))
-            for (nbytes, code, aux, dims, payload), off in zip(metas, offsets):
-                fh.write(struct.pack("<I", len(nbytes)))
-                fh.write(nbytes)
-                fh.write(struct.pack("<BBI", code, aux, len(dims)))
-                for d in dims:
-                    fh.write(struct.pack("<Q", d))
-                fh.write(struct.pack("<QQ", off, len(payload)))
-            pos = fh.tell()
-            for (_, _, _, _, payload), off in zip(metas, offsets):
-                fh.write(b"\x00" * (off - pos))
-                fh.write(payload)
-                pos = off + len(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_open(path) as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<II", VERSION, len(entries)))
+        for (nbytes, code, aux, dims, payload), off in zip(metas, offsets):
+            fh.write(struct.pack("<I", len(nbytes)))
+            fh.write(nbytes)
+            fh.write(struct.pack("<BBI", code, aux, len(dims)))
+            for d in dims:
+                fh.write(struct.pack("<Q", d))
+            fh.write(struct.pack("<QQ", off, len(payload)))
+        pos = fh.tell()
+        for (_, _, _, _, payload), off in zip(metas, offsets):
+            fh.write(b"\x00" * (off - pos))
+            fh.write(payload)
+            pos = off + len(payload)
 
 
 class _Reader:

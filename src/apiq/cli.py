@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 2 configuration error,
 3 input-data error, 4 numeric failure. Every command writes a TSV log
-whose first line echoes the fully resolved configuration.
+whose first line echoes the fully resolved configuration; like the
+checkpoints, logs are written to "<path>.tmp" and renamed into place.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from . import model_io, train
 from .calib import CalibPlan, quantize_model, sample_calib
+from .checkpoint import atomic_open
 from .errors import ConfigError, FormatError, InputError, NumericError
 from .evals import (activation_error_profile, histogram_export,
                     histograms_to_tsv, perplexity, report_to_tsv, write_tsv,
@@ -98,7 +100,7 @@ def cmd_pretrain(args) -> int:
                           weight_decay=cfg["pretrain.weight_decay"],
                           seed=cfg["seed"])
     model_io.save_model(model, args.out)
-    with open(f"{args.out}.train.tsv", "w", encoding="utf-8") as fh:
+    with atomic_open(f"{args.out}.train.tsv", "w", encoding="utf-8") as fh:
         write_tsv(fh, ["step", "loss"], [(r.step, r.loss) for r in rows],
                   config_line=canonical_config(cfg))
     ppl = perplexity(model, corpus, cfg["eval.chunk_len"])
@@ -131,7 +133,7 @@ def cmd_quantize(args) -> int:
                          seed=cfg["seed"])
     qmodel, rows = quantize_model(model, calib, plan, spec, rank=cfg["quant.rank"])
     model_io.save_model(qmodel, args.out)
-    with open(f"{args.out}.calib.tsv", "w", encoding="utf-8") as fh:
+    with atomic_open(f"{args.out}.calib.tsv", "w", encoding="utf-8") as fh:
         write_tsv(fh, ["layer", "epoch", "loss"],
                   [(r.unit, r.epoch, r.loss) for r in rows],
                   config_line=canonical_config(cfg))
@@ -158,7 +160,7 @@ def cmd_finetune(args) -> int:
                           warmup=cfg["finetune.warmup"], seed=cfg["seed"],
                           chunk_len=cfg["eval.chunk_len"], on_epoch=on_epoch)
     model_io.save_model(model, args.out)
-    with open(f"{args.out}.finetune.tsv", "w", encoding="utf-8") as fh:
+    with atomic_open(f"{args.out}.finetune.tsv", "w", encoding="utf-8") as fh:
         write_tsv(fh, ["epoch", "step", "loss", "ppl"],
                   [(r.epoch, r.step, r.loss, "" if r.ppl is None else r.ppl)
                    for r in rows],
@@ -180,10 +182,10 @@ def cmd_eval(args) -> int:
         calib = sample_calib(corpus, cfg["calib.samples"], cfg["calib.seq_len"],
                              seed=cfg["seed"])
         act = activation_error_profile(full, model, calib.tokens)
-        with open(f"{prefix}.act.tsv", "w", encoding="utf-8") as fh:
+        with atomic_open(f"{prefix}.act.tsv", "w", encoding="utf-8") as fh:
             fh.write(report_to_tsv(act, config_line))
         wer = weight_error_report(full, model)
-        with open(f"{prefix}.weight.tsv", "w", encoding="utf-8") as fh:
+        with atomic_open(f"{prefix}.weight.tsv", "w", encoding="utf-8") as fh:
             fh.write(report_to_tsv(wer, config_line))
 
     if args.hist is not None:
@@ -193,7 +195,7 @@ def cmd_eval(args) -> int:
             ref_layer = model_io.load_model(args.profile_against).find_layer(args.hist)
             ref = ref_layer.weight
         hists = histogram_export(layer, bins=args.bins, reference_weight=ref)
-        with open(f"{prefix}.hist.tsv", "w", encoding="utf-8") as fh:
+        with atomic_open(f"{prefix}.hist.tsv", "w", encoding="utf-8") as fh:
             fh.write(histograms_to_tsv(hists, config_line))
 
     ppl = perplexity(model, corpus, cfg["eval.chunk_len"])

@@ -335,6 +335,38 @@ class TestApiqBwBlock:
         assert rep.max_rel_err <= 1e-3
 
 
+class TestRetainedLoss:
+    """The smallest logged loss is exactly the frozen unit's output error."""
+
+    @staticmethod
+    def _frozen_loss(y_q, y_full):
+        return float(((y_q.astype(np.float64) - y_full) ** 2).mean())
+
+    @pytest.mark.parametrize("rank", [0, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lw_layer(self, rank, seed):
+        spec = QuantSpec(bits=2, group=16)
+        w = (RngState(70 + seed).randn((32, 16)) * 0.1).astype(np.float32)
+        x = RngState(80 + seed).randn((6, 4, 32)).astype(np.float32)
+        x_q = x + (RngState(90 + seed).randn(x.shape) * 0.05).astype(np.float32)
+        plan = CalibPlan(method="apiq-lw", epochs=6, batch_size=2, seed=seed)
+        y_full, y_q, rows = apiq_lw_layer(_linear("blocks.0.mlp.down", w), x, x_q,
+                                          plan, spec, rank=rank, stream=RngState(seed))
+        assert min(r.loss for r in rows) == self._frozen_loss(y_q, y_full)
+
+    @pytest.mark.parametrize("rank", [0, 4])
+    def test_bw_block(self, rank):
+        model = TinyTransformer.init(CFG, seed=71)
+        x = (RngState(81).randn((4, 8, 32)) * 0.5).astype(np.float32)
+        x_q = x + (RngState(91).randn(x.shape) * 0.05).astype(np.float32)
+        plan = CalibPlan(method="apiq-bw", epochs=3, batch_size=2, seed=1)
+        y_full, y_q, rows = apiq_bw_block(
+            model.blocks[0], x, x_q, plan, QuantSpec(bits=2, group=32), rank=rank,
+            stream=RngState(1), rope_cos=model.rope_cos, rope_sin=model.rope_sin,
+            n_heads=CFG.n_heads, unit="blocks.0")
+        assert min(r.loss for r in rows) == self._frozen_loss(y_q, y_full)
+
+
 class TestQuantizeModel:
     @pytest.mark.parametrize("method", ["rtn", "qlora", "loftq", "apiq-lw", "apiq-bw"])
     def test_all_methods_finite_and_frozen(self, toy_setup, method):

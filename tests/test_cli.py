@@ -151,6 +151,27 @@ class TestQuantize:
         body = lambda tsv: tsv.split("\n", 1)[1]
         assert body(outs[0][1]) == body(outs[1][1])
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_log_write_leaves_no_partial_tsv(self, ws, pretrained,
+                                                    monkeypatch, existing):
+        def write_then_fail(fh, header, rows, config_line=None):
+            fh.write(f"config\t{config_line}\n")
+            raise OSError("disk full")
+
+        out = ws / f"failed{int(existing)}.ckpt"
+        log = ws / f"{out.name}.calib.tsv"
+        if existing:
+            log.write_text("old log\n")
+        monkeypatch.setattr("apiq.cli.write_tsv", write_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            main(["quantize", "--config", str(ws / "run.cfg"), "--in", str(pretrained),
+                  "--method", "rtn", "--bits", "2", "--out", str(out)])
+        if existing:
+            assert log.read_text() == "old log\n"
+        else:
+            assert not log.exists()
+        assert not (ws / f"{log.name}.tmp").exists()
+
     def test_missing_checkpoint_exit_3(self, ws):
         assert main(["quantize", "--in", str(ws / "nope.ckpt"),
                      "--out", str(ws / "x.ckpt")]) == 3
@@ -276,6 +297,17 @@ class TestCorruptCheckpoints:
         assert main(["eval", "--config", str(ws / "run.cfg"), "--in", str(bad),
                      "--corpus", str(ws / "corpus.txt")]) == 4
         assert "nan" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method", ["rtn", "qlora", "loftq", "apiq-lw", "apiq-bw"])
+    def test_nan_weight_quantize_exit_4(self, ws, pretrained, capsys, method):
+        bad = _tampered(pretrained, ws / "nanq.ckpt", "blocks.0.attn.q.weight",
+                        lambda t: t.__setitem__((0, 0), np.nan))
+        out = ws / f"nanq.{method}.ckpt"
+        assert main(["quantize", "--config", str(ws / "run.cfg"), "--in", str(bad),
+                     "--method", method, "--corpus", str(ws / "corpus.txt"),
+                     "--out", str(out)]) == 4
+        assert "non-finite weight in layer blocks.0.attn.q" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_tensor_exit_3(self, ws, pretrained, capsys):
         bad = _tampered(pretrained, ws / "heads.ckpt", "config",
