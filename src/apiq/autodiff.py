@@ -15,6 +15,8 @@ gradient of.
 from __future__ import annotations
 
 import contextlib
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,6 +259,15 @@ def silu(a) -> Var:
     return _record("silu", out, (a,), back)
 
 
+def _softmax_back(g: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    """Softmax backward over the last axis: y * (g - sum(g * y)); written
+    into `out` when given (which may be `g` itself)."""
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    out = np.subtract(g, dot, out=out)
+    out *= y
+    return out
+
+
 def softmax(a) -> Var:
     """Softmax over the last axis."""
     a = _wrap(a)
@@ -266,11 +277,27 @@ def softmax(a) -> Var:
     out = Var(y)
 
     def back():
-        g = out.grad
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        a.accum(y * (g - dot))
+        a.accum(_softmax_back(out.grad, y))
 
     return _record("softmax", out, (a,), back)
+
+
+@functools.lru_cache(maxsize=16)
+def _causal_mask(t: int) -> np.ndarray:
+    """Read-only (t, t) boolean mask of the slots position i may not attend
+    to (j > i); one shared array per length."""
+    upper = np.triu(np.ones((t, t), dtype=bool), k=1)
+    upper.setflags(write=False)
+    return upper
+
+
+def _causal_softmax_(s: np.ndarray) -> np.ndarray:
+    """Causal softmax of (..., t, t) scores computed in place in `s`."""
+    np.copyto(s, -np.inf, where=_causal_mask(s.shape[-1]))
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
 
 
 def causal_softmax(a) -> Var:
@@ -280,17 +307,11 @@ def causal_softmax(a) -> Var:
     t = a.value.shape[-1]
     if a.value.shape[-2] != t:
         raise ShapeError(f"causal softmax needs square trailing dims, got {a.value.shape}")
-    allowed = np.tril(np.ones((t, t), dtype=bool))
-    masked = np.where(allowed, a.value, -np.inf)
-    m = masked.max(axis=-1, keepdims=True)
-    e = np.exp(masked - m)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _causal_softmax_(np.array(a.value))
     out = Var(y)
 
     def back():
-        g = out.grad
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        a.accum(y * (g - dot))
+        a.accum(_softmax_back(out.grad, y))
 
     return _record("causal_softmax", out, (a,), back)
 
@@ -335,26 +356,88 @@ def embedding(table, ids: np.ndarray) -> Var:
     return _record("embedding", out, (table,), back)
 
 
-def rope_rotate(a, cos: np.ndarray, sin: np.ndarray) -> Var:
-    """Rotate interleaved (even, odd) pairs of the last axis by per-position
-    angles; cos/sin are (t, d/2) constants broadcast over leading dims."""
-    a = _wrap(a)
-    x = a.value
+def _rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     ev, od = x[..., 0::2], x[..., 1::2]
     y = np.empty_like(x)
     y[..., 0::2] = ev * cos - od * sin
     y[..., 1::2] = ev * sin + od * cos
-    out = Var(y)
+    return y
+
+
+def _rope_back(g: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    ge, go = g[..., 0::2], g[..., 1::2]
+    da = np.empty_like(g)
+    da[..., 0::2] = ge * cos + go * sin
+    da[..., 1::2] = -ge * sin + go * cos
+    return da
+
+
+def rope_rotate(a, cos: np.ndarray, sin: np.ndarray) -> Var:
+    """Rotate interleaved (even, odd) pairs of the last axis by per-position
+    angles; cos/sin are (t, d/2) constants broadcast over leading dims."""
+    a = _wrap(a)
+    out = Var(_rope(a.value, cos, sin))
 
     def back():
-        g = out.grad
-        ge, go = g[..., 0::2], g[..., 1::2]
-        da = np.empty_like(g)
-        da[..., 0::2] = ge * cos + go * sin
-        da[..., 1::2] = -ge * sin + go * cos
-        a.accum(da)
+        a.accum(_rope_back(out.grad, cos, sin))
 
     return _record("rope_rotate", out, (a,), back)
+
+
+def causal_attention(q, k, v, n_heads: int, cos: np.ndarray,
+                     sin: np.ndarray) -> Var:
+    """Multi-head causal self-attention with rotary positions, one tape entry.
+
+    q, k, v are (n, t, d); each is split into `n_heads` heads of size
+    hd = d / n_heads, q and k are rotated by cos/sin (t, hd/2), and the
+    result softmax(q k^T / sqrt(hd), causal) v is merged back to (n, t, d).
+    The numpy operations and operand layouts are those of the equivalent
+    chain of reshape/transpose/rope_rotate/matmul/scale/causal_softmax
+    primitives, so values and gradients are bitwise the same; of the
+    (t, t) score arrays only the softmax output is kept for the backward.
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    shape = q.value.shape
+    if len(shape) != 3 or k.value.shape != shape or v.value.shape != shape:
+        raise ShapeError(f"attention needs equal (n, t, d) q/k/v, got "
+                         f"{q.value.shape}, {k.value.shape}, {v.value.shape}")
+    n, t, d = shape
+    if d % n_heads:
+        raise ShapeError(f"d {d} not divisible by {n_heads} heads")
+    hd = d // n_heads
+    if cos.shape != (t, hd // 2) or sin.shape != cos.shape:
+        raise ShapeError(f"rope tables must be {(t, hd // 2)}, got {cos.shape}")
+    c = 1.0 / math.sqrt(hd)
+
+    def heads(x):
+        return x.reshape(n, t, n_heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(n, t, d)
+
+    qr = _rope(heads(q.value), cos, sin)
+    kr = _rope(heads(k.value), cos, sin)
+    vh = heads(v.value)
+    s = qr @ np.swapaxes(kr, -1, -2)
+    s *= c
+    p = _causal_softmax_(s)
+    out = Var(merge(p @ vh))
+
+    def back():
+        g = heads(out.grad)
+        if v.requires_grad:
+            v.accum(merge(np.swapaxes(p, -1, -2) @ g))
+        if q.requires_grad or k.requires_grad:
+            dp = g @ np.swapaxes(vh, -1, -2)
+            ds = _softmax_back(dp, p, out=dp)
+            ds *= c
+            if k.requires_grad:
+                k.accum(merge(_rope_back(np.swapaxes(np.swapaxes(qr, -1, -2) @ ds,
+                                                     -1, -2), cos, sin)))
+            if q.requires_grad:
+                q.accum(merge(_rope_back(ds @ kr, cos, sin)))
+
+    return _record("causal_attention", out, (q, k, v), back)
 
 
 def clamp(a, lo, hi) -> Var:
@@ -445,10 +528,10 @@ def log_softmax_nll(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per-row negative log-likelihood from raw logits (max-subtracted
     log-sum-exp). logits (N, V), targets (N,) ints; returns (N,) in the
     logits dtype."""
-    m = logits.max(axis=-1, keepdims=True)
-    z = logits - m
-    lse = np.log(np.exp(z).sum(axis=-1))
-    return lse - z[np.arange(z.shape[0]), targets]
+    z = logits - logits.max(axis=-1, keepdims=True)
+    picked = z[np.arange(z.shape[0]), targets]
+    lse = np.log(np.exp(z, out=z).sum(axis=-1))
+    return lse - picked
 
 
 def cross_entropy(logits, targets: np.ndarray) -> Var:
@@ -462,9 +545,9 @@ def cross_entropy(logits, targets: np.ndarray) -> Var:
 
     def back():
         if logits.requires_grad:
-            m = flat.max(axis=-1, keepdims=True)
-            e = np.exp(flat - m)
-            p = e / e.sum(axis=-1, keepdims=True)
+            p = flat - flat.max(axis=-1, keepdims=True)
+            np.exp(p, out=p)
+            p /= p.sum(axis=-1, keepdims=True)
             p[np.arange(p.shape[0]), tgt] -= 1.0
             logits.accum((out.grad * p / p.shape[0]).reshape(logits.value.shape))
 

@@ -326,6 +326,9 @@ def quantize_model(model: TinyTransformer, calib: CalibSet, plan: CalibPlan,
         if rank > min(lay.d1, lay.d2):
             raise ConfigError(
                 f"rank {rank} exceeds min dim of layer {lay.name}")
+    for name, owner, attr in model.named_tensors():
+        if not isinstance(owner, Linear) and not np.isfinite(getattr(owner, attr)).all():
+            raise NumericError(f"non-finite tensor {name}")
 
     student = copy.deepcopy(model)
     rng = RngState(plan.seed)

@@ -16,9 +16,11 @@ propagated activations of the quantized path are bit-exact with a later
 reload of the same checkpoint.
 
 The forward pass is written in autodiff ops; with no active tape it is a
-plain numpy computation. `trainable` maps tensor names to Vars so callers
-choose which parameters receive gradients (all of them for pretraining,
-adapters only for finetuning).
+plain numpy computation. Attention (head split, rotary positions, causal
+softmax, merge) is one op, `ad.causal_attention`, with one tape entry.
+`trainable` maps tensor names to Vars so callers choose which parameters
+receive gradients (all of them for pretraining, adapters only for
+finetuning).
 
 `TinyTransformer` is the one place that defines tensor names and their
 order: `layers` maps each projection name to its Linear, and
@@ -27,7 +29,6 @@ order: `layers` maps each projection name to its Linear, and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -277,23 +278,13 @@ def forward_block(block: Block, x: ad.Var, rope_cos: np.ndarray,
     if hook is None:
         hook = _default_hook(trainable or {}, None)
     trainable = trainable or {}
-    n, t, d = x.value.shape
-    hd = d // n_heads
-    cos, sin = rope_cos[:t], rope_sin[:t]
+    t = x.value.shape[1]
 
     a = ad.rmsnorm(x, _norm_var(block, "norm1", trainable))
     q = hook(block.layers["q"], a)
     k = hook(block.layers["k"], a)
     v = hook(block.layers["v"], a)
-    qh = ad.transpose(ad.reshape(q, (n, t, n_heads, hd)), (0, 2, 1, 3))
-    kh = ad.transpose(ad.reshape(k, (n, t, n_heads, hd)), (0, 2, 1, 3))
-    vh = ad.transpose(ad.reshape(v, (n, t, n_heads, hd)), (0, 2, 1, 3))
-    qh = ad.rope_rotate(qh, cos, sin)
-    kh = ad.rope_rotate(kh, cos, sin)
-    scores = ad.scale(ad.matmul(qh, ad.swap_last(kh)), 1.0 / math.sqrt(hd))
-    probs = ad.causal_softmax(scores)
-    ctx = ad.matmul(probs, vh)
-    ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (n, t, d))
+    ctx = ad.causal_attention(q, k, v, n_heads, rope_cos[:t], rope_sin[:t])
     o = hook(block.layers["o"], ctx)
     h = ad.add(x, o)
 

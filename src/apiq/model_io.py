@@ -87,6 +87,7 @@ def load_model(path) -> TinyTransformer:
     except ConfigError as exc:
         raise FormatError(f"checkpoint header is invalid: {exc}") from exc
 
+    _check_sizes(tensors, cfg)
     model = TinyTransformer(cfg)
     for name, owner, attr in model.named_tensors():
         if isinstance(owner, Linear):
@@ -103,6 +104,21 @@ def _header(tensors: dict, name: str, size: int) -> np.ndarray:
     if not isinstance(t, np.ndarray) or t.shape != (size,) or not np.isfinite(t).all():
         raise FormatError(f"{name!r} tensor must hold {size} finite values")
     return t
+
+
+def _check_sizes(tensors: dict, cfg: ModelConfig) -> None:
+    """Check the header sizes against the stored tensors before a model of
+    those sizes is allocated (`max_seq` has no tensor to check against)."""
+    _req(tensors, "embed.weight", (cfg.vocab, cfg.d_model))
+    gate = "blocks.0.mlp.gate"
+    stored = tensors.get(f"{gate}.weight", tensors.get(f"{gate}.qcodes"))
+    if getattr(stored, "shape", None) != (cfg.d_model, cfg.d_ff):
+        raise FormatError(f"header d_ff {cfg.d_ff} does not match the stored "
+                          f"{gate!r} layer")
+    present = {name.split(".")[1] for name in tensors if name.startswith("blocks.")}
+    if len(present) != cfg.n_blocks or present != {str(i) for i in range(len(present))}:
+        raise FormatError(f"header n_blocks {cfg.n_blocks} does not match the stored "
+                          f"blocks {sorted(present)}")
 
 
 def _req(tensors: dict, name: str, shape: tuple) -> np.ndarray:

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from apiq import autodiff as ad
-from apiq.errors import StateError
+from apiq.errors import ShapeError, StateError
 from apiq.rng import RngState
 
 
@@ -112,6 +114,18 @@ def test_gradcheck_rope(seed):
     _check(lambda x: ad.mse(ad.rope_rotate(x, cos, sin), t), [x])
 
 
+@pytest.mark.parametrize("seed", SEEDS[:5])
+@pytest.mark.parametrize("t", [1, 5])
+def test_gradcheck_causal_attention(seed, t):
+    r = RngState(seed)
+    q, k, v = (ad.Var(r.randn((2, t, 8))) for _ in range(3))  # 2 heads of 4
+    ang = r.uniform((t, 2), 0, 6.28)
+    cos, sin = np.cos(ang), np.sin(ang)
+    target = r.randn((2, t, 8))
+    _check(lambda q, k, v: ad.mse(ad.causal_attention(q, k, v, 2, cos, sin), target),
+           [q, k, v])
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_gradcheck_clamp_maximum(seed):
     r = RngState(seed)
@@ -147,6 +161,93 @@ def test_gradcheck_round_ste_surrogate(seed):
     t = r.randn((3, 3))
     with ad.surrogate_round():
         _check(lambda x: ad.mse(ad.round_ste(ad.scale(x, 1.3)), t), [x])
+
+
+# ---------------------------------------------------------------------------
+# fused causal attention against the chain of primitives it replaces
+# ---------------------------------------------------------------------------
+
+def _attention_chain(q, k, v, n_heads, cos, sin):
+    n, t, d = q.shape
+    hd = d // n_heads
+
+    def heads(x):
+        return ad.transpose(ad.reshape(x, (n, t, n_heads, hd)), (0, 2, 1, 3))
+
+    qh = ad.rope_rotate(heads(q), cos, sin)
+    kh = ad.rope_rotate(heads(k), cos, sin)
+    scores = ad.scale(ad.matmul(qh, ad.swap_last(kh)), 1.0 / math.sqrt(hd))
+    ctx = ad.matmul(ad.causal_softmax(scores), heads(v))
+    return ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (n, t, d))
+
+
+def _attention_run(attn, arrays, trained, n_heads, cos, sin, target):
+    xs = [ad.Var(a.copy(), requires_grad=i in trained) for i, a in enumerate(arrays)]
+    with ad.Tape() as tape:
+        out = attn(*xs, n_heads, cos, sin)
+        loss = ad.mse(out, target)
+    ad.backward(tape, loss)
+    return out.value, [x.grad for x in xs], [op for op, _ in tape.entries]
+
+
+@pytest.mark.parametrize("n,t,d,n_heads", [(8, 128, 64, 4), (64, 32, 64, 4)])
+@pytest.mark.parametrize("trained", [(0, 1, 2), (2,), (0,), (1,)])
+def test_causal_attention_bitwise_equals_chain_f32(n, t, d, n_heads, trained):
+    r = RngState(n + t)
+    arrays = [r.randn((n, t, d)).astype(np.float32) for _ in range(3)]
+    ang = r.uniform((t, d // n_heads // 2), 0, 6.28)
+    cos, sin = np.cos(ang).astype(np.float32), np.sin(ang).astype(np.float32)
+    target = r.randn((n, t, d)).astype(np.float32)
+    y_ref, g_ref, _ = _attention_run(_attention_chain, arrays, trained, n_heads,
+                                     cos, sin, target)
+    y, g, ops = _attention_run(ad.causal_attention, arrays, trained, n_heads,
+                               cos, sin, target)
+    assert ops == ["causal_attention", "mse"]
+    assert y.dtype == np.float32 and y.tobytes() == y_ref.tobytes()
+    for i in range(3):
+        if i in trained:
+            assert g[i].dtype == np.float32
+            assert g[i].tobytes() == g_ref[i].tobytes()
+        else:
+            assert g[i] is None and g_ref[i] is None
+
+
+def test_causal_attention_rejects_mismatched_shapes():
+    x = np.zeros((1, 4, 8))
+    cos = np.ones((4, 2))
+    with pytest.raises(ShapeError):
+        ad.causal_attention(x, x, np.zeros((1, 3, 8)), 2, cos, cos)
+    with pytest.raises(ShapeError):
+        ad.causal_attention(x, x, x, 3, cos, cos)
+    with pytest.raises(ShapeError):
+        ad.causal_attention(x, x, x, 2, cos[:3], cos[:3])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_causal_softmax_matches_where_masking(bad):
+    r = RngState(3)
+    s = r.randn((2, 3, 6, 6)).astype(np.float32)
+    s[0, 0, 0, 5] = bad
+    s[1, 2, 3, 4] = bad
+    s[0, 1, 2, 1] = 7.5  # an allowed slot
+    before = s.copy()
+    allowed = np.tril(np.ones((6, 6), dtype=bool))
+    masked = np.where(allowed, s, -np.inf)
+    e = np.exp(masked - masked.max(axis=-1, keepdims=True))
+    ref = e / e.sum(axis=-1, keepdims=True)
+    y = ad.causal_softmax(s).value
+    assert y.tobytes() == ref.tobytes()
+    assert (y[..., ~allowed] == 0).all()
+    assert s.tobytes() == before.tobytes()  # the input is left as it was
+
+
+def test_causal_mask_is_cached_and_read_only():
+    mask = ad._causal_mask(5)
+    assert mask is ad._causal_mask(5)
+    assert (mask == ~np.tril(np.ones((5, 5), dtype=bool))).all()
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[0, 1] = False
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,34 @@ class TestCorruptCheckpoints:
         assert "non-finite weight in layer blocks.0.attn.q" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["rtn", "apiq-bw"])
+    @pytest.mark.parametrize("tensor,index", [("embed.weight", (3, 0)),
+                                              ("final_norm.weight", (5,))])
+    def test_nan_non_layer_tensor_quantize_exit_4(self, ws, pretrained, capsys,
+                                                  method, tensor, index):
+        bad = _tampered(pretrained, ws / "nant.ckpt", tensor,
+                        lambda t: t.__setitem__(index, np.nan))
+        out = ws / f"nant.{method}.ckpt"
+        assert main(["quantize", "--config", str(ws / "run.cfg"), "--in", str(bad),
+                     "--method", method, "--corpus", str(ws / "corpus.txt"),
+                     "--out", str(out)]) == 4
+        assert f"non-finite tensor {tensor}" in capsys.readouterr().err
+        assert not out.exists()
+
+    # config = [vocab, d_model, n_heads, d_ff, n_blocks, max_seq, rope_theta];
+    # a size the stored tensors do not have fails before the model is built
+    @pytest.mark.parametrize("index,value,named", [(0, 2.0 ** 40, "'embed.weight'"),
+                                                   (1, 2.0 ** 40, "'embed.weight'"),
+                                                   (3, 2.0 ** 40, "d_ff"),
+                                                   (4, 3.0, "n_blocks 3")])
+    def test_header_size_mismatch_exit_3(self, ws, pretrained, capsys, index, value,
+                                         named):
+        bad = _tampered(pretrained, ws / "size.ckpt", "config",
+                        lambda t: t.__setitem__(index, value))
+        assert main(["eval", "--in", str(bad),
+                     "--corpus", str(ws / "corpus.txt")]) == 3
+        assert named in capsys.readouterr().err
+
     def test_bad_config_tensor_exit_3(self, ws, pretrained, capsys):
         bad = _tampered(pretrained, ws / "heads.ckpt", "config",
                         lambda t: t.__setitem__(2, 3))

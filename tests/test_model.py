@@ -124,6 +124,16 @@ class TestForwardBlock:
         assert y.value.shape == (1, 5, 32)
         assert np.isfinite(y.value).all()
 
+    def test_attention_is_one_tape_entry(self):
+        m = TinyTransformer.init(CFG, seed=16)
+        x = ad.param(RngState(17).randn((2, 6, 32)).astype(np.float32))
+        with ad.Tape() as tape:
+            forward_block(m.blocks[0], x, m.rope_cos, m.rope_sin, CFG.n_heads)
+        ops = [op for op, _ in tape.entries]
+        assert ops.count("causal_attention") == 1
+        assert not {"causal_softmax", "rope_rotate", "reshape", "transpose",
+                    "scale"} & set(ops)
+
     def test_gradcheck_through_block_f64(self):
         cfg = ModelConfig(vocab=16, d_model=16, n_heads=2, d_ff=24, n_blocks=1,
                           max_seq=8)
