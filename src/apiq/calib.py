@@ -33,8 +33,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, NumericError
 from .linalg import group_minmax, truncated_svd
-from .model import (Block, Capture, Linear, LoraPair, QuantState,
-                    TinyTransformer, forward_block, lora_delta)
+from .model import (Block, Linear, LoraPair, ModelConfig, QuantState,
+                    TinyTransformer, forward_block, linear_apply, lora_delta)
 from .quant import (ClipParams, QuantSpec, clip_to_params, dequantize,
                     pack, quantize, ste_fake_quant)
 from .rng import RngState
@@ -286,21 +286,22 @@ def apiq_lw_layer(layer: Linear, x_full: np.ndarray, x_q: np.ndarray,
 
 
 def apiq_bw_block(block: Block, x_full: np.ndarray, x_q: np.ndarray,
-                  plan: CalibPlan, spec: QuantSpec, rank: int,
-                  stream: RngState, rope_cos: np.ndarray, rope_sin: np.ndarray,
-                  n_heads: int, unit: str) -> tuple[np.ndarray, np.ndarray, list[CalibLogRow]]:
-    """Calibrate all seven projections of one block jointly, in place."""
-    y_full = forward_block(block, ad.Var(x_full), rope_cos, rope_sin, n_heads).value
+                  plan: CalibPlan, spec: QuantSpec, rank: int, stream: RngState,
+                  cfg: ModelConfig, unit: str) -> tuple[np.ndarray, np.ndarray, list[CalibLogRow]]:
+    """Calibrate all seven projections of one block jointly, in place;
+    returns (Y, Y^q, log rows), the block's full-precision output and its
+    frozen output on X^q."""
+    y_full = forward_block(block, ad.Var(x_full), cfg).value
     states = [_TrainableQuant.create(lay, spec, rank, stream.derive(j), plan.clip_init)
               for j, lay in enumerate(block.layers.values())]
 
     def forward(x: np.ndarray, effs: list[ad.Var]) -> ad.Var:
         by_name = {st.layer.name: eff for st, eff in zip(states, effs)}
-        return forward_block(block, ad.Var(x), rope_cos, rope_sin, n_heads,
+        return forward_block(block, ad.Var(x), cfg,
                              hook=lambda layer, xv: ad.matmul(xv, by_name[layer.name]))
 
     rows = _calibrate(states, forward, x_q, y_full, plan, spec, unit)
-    y_q = forward_block(block, ad.Var(x_q), rope_cos, rope_sin, n_heads).value
+    y_q = forward_block(block, ad.Var(x_q), cfg).value
     return y_full, y_q, rows
 
 
@@ -345,33 +346,35 @@ def quantize_model(model: TinyTransformer, calib: CalibSet, plan: CalibPlan,
             loftq_init(lay, spec, rank, plan.loftq_iters)
         return student, rows
 
-    capture = Capture()
-    model.forward(calib.tokens, capture=capture)
-
-    x_q = capture.block_inputs[0]
+    # X and X^q walk the blocks together; each block is still full
+    # precision when it computes the next X
+    x_full = x_q = model.embed_tokens(calib.tokens).value
+    cfg = student.config
     if plan.method == "apiq-lw":
-        taps = capture.by_name()
         stream_index = {name: idx for idx, name in enumerate(student.layers)}
+        x_in: dict[str, np.ndarray] = {}
 
-        def hook(layer: Linear, xv: ad.Var) -> ad.Var:
+        def record(layer: Linear, xv: ad.Var) -> ad.Var:
+            x_in[layer.name] = xv.value
+            return linear_apply(layer, xv)
+
+        def calibrate(layer: Linear, xv: ad.Var) -> ad.Var:
             _, y_q, lrows = apiq_lw_layer(
-                layer, taps[layer.name].x, xv.value, plan, spec, rank,
+                layer, x_in[layer.name], xv.value, plan, spec, rank,
                 rng.derive(stream_index[layer.name]))
             rows.extend(lrows)
             return ad.Var(y_q)
 
         for block in student.blocks:
-            x_q = forward_block(block, ad.Var(x_q), student.rope_cos,
-                                student.rope_sin, student.config.n_heads,
-                                hook=hook).value
+            x_full = forward_block(block, ad.Var(x_full), cfg, hook=record).value
+            x_q = forward_block(block, ad.Var(x_q), cfg, hook=calibrate).value
         return student, rows
 
     if plan.method == "apiq-bw":
         for i, block in enumerate(student.blocks):
-            _, x_q, brows = apiq_bw_block(
-                block, capture.block_inputs[i], x_q, plan, spec, rank,
-                rng.derive(100 + i), student.rope_cos, student.rope_sin,
-                student.config.n_heads, unit=block.name)
+            x_full, x_q, brows = apiq_bw_block(
+                block, x_full, x_q, plan, spec, rank, rng.derive(100 + i), cfg,
+                unit=block.name)
             rows.extend(brows)
         return student, rows
 

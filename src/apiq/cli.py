@@ -9,6 +9,7 @@ checkpoints, logs are written to "<path>.tmp" and renamed into place.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -84,10 +85,8 @@ def _corpus_tokens(path: str | None) -> np.ndarray:
 
 
 def _model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(vocab=cfg["model.vocab"], d_model=cfg["model.d_model"],
-                       n_heads=cfg["model.n_heads"], d_ff=cfg["model.d_ff"],
-                       n_blocks=cfg["model.n_blocks"], max_seq=cfg["model.max_seq"],
-                       rope_theta=cfg["model.rope_theta"])
+    return ModelConfig(**{f.name: cfg[f"model.{f.name}"]
+                          for f in dataclasses.fields(ModelConfig)})
 
 
 def cmd_pretrain(args) -> int:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .autodiff import log_softmax_nll
 from .errors import InputError, NumericError, ShapeError
-from .model import Capture, Linear, TinyTransformer
+from .model import Linear, TinyTransformer, linear_apply
 
 
 def perplexity(model: TinyTransformer, tokens: np.ndarray, chunk_len: int,
@@ -28,8 +28,8 @@ def perplexity(model: TinyTransformer, tokens: np.ndarray, chunk_len: int,
     count = 0
     for lo in range(0, n_chunks, batch_chunks):
         batch = chunks[lo: lo + batch_chunks]
-        logits = model.forward(batch).value.astype(np.float64)
-        flat = logits[:, :-1, :].reshape(-1, logits.shape[-1])
+        logits = model.forward(batch).value[:, :-1].astype(np.float64)
+        flat = logits.reshape(-1, logits.shape[-1])
         tgt = batch[:, 1:].reshape(-1)
         total += float(log_softmax_nll(flat, tgt).sum())
         count += tgt.size
@@ -50,9 +50,6 @@ class ErrorRecord:
 class ErrorReport:
     kind: str
     records: list[ErrorRecord]
-
-    def by_layer(self) -> dict[str, float]:
-        return {r.layer: r.value for r in self.records}
 
 
 def _block_index(layer_name: str) -> int:
@@ -76,15 +73,23 @@ def activation_error_profile(full_model: TinyTransformer,
         tokens = tokens[None, :]
     n_tokens = tokens.shape[0] * tokens.shape[1]
 
-    cap_f, cap_q = Capture(), Capture()
-    full_model.forward(tokens, capture=cap_f)
-    quant_model.forward(tokens, capture=cap_q)
+    def layer_outputs(model: TinyTransformer) -> list[tuple[str, np.ndarray]]:
+        outs = []
+
+        def hook(layer: Linear, x):
+            y = linear_apply(layer, x)
+            outs.append((layer.name, y.value))
+            return y
+
+        model.forward(tokens, hook=hook)
+        return outs
+
     records = []
-    for tap_f, tap_q in zip(cap_f.layers, cap_q.layers):
-        diff = tap_f.y.astype(np.float64) - tap_q.y.astype(np.float64)
+    for (name, y_f), (_, y_q) in zip(layer_outputs(full_model),
+                                     layer_outputs(quant_model)):
+        diff = y_f.astype(np.float64) - y_q.astype(np.float64)
         value = float(np.sqrt((diff * diff).sum())) / n_tokens
-        records.append(ErrorRecord(layer=tap_f.name,
-                                   block=_block_index(tap_f.name), value=value))
+        records.append(ErrorRecord(layer=name, block=_block_index(name), value=value))
     return ErrorReport(kind="activation-per-token", records=records)
 
 
@@ -100,18 +105,6 @@ def weight_error_report(full_model: TinyTransformer,
                                    block=_block_index(lay_f.name),
                                    value=float(np.sqrt((diff * diff).sum()))))
     return ErrorReport(kind="weight-frobenius", records=records)
-
-
-def relative_weight_error_report(full_model: TinyTransformer,
-                                 baseline_model: TinyTransformer,
-                                 method_model: TinyTransformer) -> ErrorReport:
-    """Per-layer e = ||dW_baseline||_F - ||dW_method||_F; positive means
-    the method reduced the weight error relative to the baseline."""
-    base = weight_error_report(full_model, baseline_model).by_layer()
-    meth = weight_error_report(full_model, method_model).by_layer()
-    records = [ErrorRecord(layer=name, block=_block_index(name),
-                           value=base[name] - meth[name]) for name in base]
-    return ErrorReport(kind="relative-weight", records=records)
 
 
 def histogram_export(layer: Linear, bins: int,

@@ -22,6 +22,13 @@ softmax, merge) is one op, `ad.causal_attention`, with one tape entry.
 receive gradients (all of them for pretraining, adapters only for
 finetuning).
 
+`forward_block(block, x, cfg, hook)` is the one way to run a block: `hook`
+applies each linear layer, so callers record layer inputs and outputs or
+substitute calibrated weights through it, and `ModelConfig` is the only
+description of the geometry. The rotary tables come from `rope_tables`,
+built per sequence length and cached, so `max_seq` is a limit and not an
+allocation.
+
 `TinyTransformer` is the one place that defines tensor names and their
 order: `layers` maps each projection name to its Linear, and
 `named_tensors()` lists every full-precision tensor in checkpoint order.
@@ -29,6 +36,8 @@ order: `layers` maps each projection name to its Linear, and
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +72,9 @@ class ModelConfig:
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if (self.d_model // self.n_heads) % 2 != 0:
             raise ConfigError("head dim must be even for rotary pairs")
+        if not (math.isfinite(self.rope_theta) and self.rope_theta > 0):
+            raise ConfigError(
+                f"rope_theta must be finite and > 0, got {self.rope_theta!r}")
 
 
 @dataclass
@@ -132,25 +144,6 @@ class Block:
     layers: dict[str, Linear]
 
 
-@dataclass
-class LayerTap:
-    """Input and output of one linear layer, captured in dataflow order."""
-
-    name: str
-    x: np.ndarray
-    y: np.ndarray
-
-
-@dataclass
-class Capture:
-    layers: list[LayerTap] = field(default_factory=list)
-    block_inputs: list[np.ndarray] = field(default_factory=list)
-    block_outputs: list[np.ndarray] = field(default_factory=list)
-
-    def by_name(self) -> dict[str, LayerTap]:
-        return {tap.name: tap for tap in self.layers}
-
-
 def _layer_dims(cfg: ModelConfig, lname: str) -> tuple[int, int]:
     d, f = cfg.d_model, cfg.d_ff
     return {"q": (d, d), "k": (d, d), "v": (d, d), "o": (d, d),
@@ -176,7 +169,6 @@ class TinyTransformer:
                 norm2=np.ones(config.d_model, dtype=dtype),
                 layers=layers))
         self.final_norm = np.ones(config.d_model, dtype=dtype)
-        self.rope_cos, self.rope_sin = _rope_tables(config, dtype)
         # name -> Linear for every projection, in dataflow order
         self.layers = {lay.name: lay for block in self.blocks
                        for lay in block.layers.values()}
@@ -213,9 +205,10 @@ class TinyTransformer:
                     yield f"{lay.name}.weight", lay, "weight"
         yield "final_norm.weight", self, "final_norm"
 
-    def forward(self, tokens: np.ndarray, capture: Capture | None = None,
-                trainable: dict[str, ad.Var] | None = None) -> ad.Var:
-        """Logits (n, t, vocab) for token ids (n, t) or (t,)."""
+    def embed_tokens(self, tokens: np.ndarray,
+                     trainable: dict[str, ad.Var] | None = None) -> ad.Var:
+        """Embeddings (n, t, d_model) of token ids (n, t) or (t,), the input
+        of the first block."""
         tokens = np.asarray(tokens)
         if tokens.ndim == 1:
             tokens = tokens[None, :]
@@ -225,26 +218,33 @@ class TinyTransformer:
             raise InputError(
                 f"sequence length {tokens.shape[1]} exceeds max_seq {self.config.max_seq}")
         trainable = trainable or {}
+        return ad.embedding(trainable.get("embed.weight", ad.Var(self.embed)), tokens)
 
-        embed = trainable.get("embed.weight", ad.Var(self.embed))
-        x = ad.embedding(embed, tokens)
-        hook = _default_hook(trainable, capture)
+    def forward(self, tokens: np.ndarray, hook=None,
+                trainable: dict[str, ad.Var] | None = None) -> ad.Var:
+        """Logits (n, t, vocab) for token ids (n, t) or (t,); `hook` is
+        passed to every block (see `forward_block`)."""
+        trainable = trainable or {}
+        x = self.embed_tokens(tokens, trainable)
         for block in self.blocks:
-            if capture is not None:
-                capture.block_inputs.append(x.value)
-            x = forward_block(block, x, self.rope_cos, self.rope_sin,
-                              self.config.n_heads, hook=hook, trainable=trainable)
-            if capture is not None:
-                capture.block_outputs.append(x.value)
+            x = forward_block(block, x, self.config, hook=hook, trainable=trainable)
         x = ad.rmsnorm(x, trainable.get("final_norm.weight", ad.Var(self.final_norm)))
+        embed = trainable.get("embed.weight", ad.Var(self.embed))
         return ad.matmul(x, ad.swap_last(embed))
 
 
-def _rope_tables(cfg: ModelConfig, dtype) -> tuple[np.ndarray, np.ndarray]:
-    hd = cfg.d_model // cfg.n_heads
-    inv = cfg.rope_theta ** (-np.arange(0, hd, 2, dtype=np.float64) / hd)
-    ang = np.arange(cfg.max_seq, dtype=np.float64)[:, None] * inv[None, :]
-    return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+@functools.lru_cache(maxsize=16)
+def rope_tables(t: int, head_dim: int, theta: float,
+                dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (t, head_dim/2) cos and sin of the rotary angles
+    p * theta^(-2i/head_dim) for positions p < t. Each row depends only on
+    its position, so a table is the first t rows of every longer one."""
+    inv = theta ** (-np.arange(0, head_dim, 2, dtype=np.float64) / head_dim)
+    ang = np.arange(t, dtype=np.float64)[:, None] * inv[None, :]
+    cos, sin = np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+    cos.setflags(write=False)
+    sin.setflags(write=False)
+    return cos, sin
 
 
 def linear_apply(layer: Linear, x: ad.Var,
@@ -261,30 +261,23 @@ def linear_apply(layer: Linear, x: ad.Var,
     return ad.matmul(x, eff)
 
 
-def _default_hook(trainable, capture: Capture | None):
-    def hook(layer: Linear, x: ad.Var) -> ad.Var:
-        y = linear_apply(layer, x, trainable)
-        if capture is not None:
-            capture.layers.append(LayerTap(name=layer.name, x=x.value, y=y.value))
-        return y
-    return hook
-
-
-def forward_block(block: Block, x: ad.Var, rope_cos: np.ndarray,
-                  rope_sin: np.ndarray, n_heads: int, hook=None,
+def forward_block(block: Block, x: ad.Var, cfg: ModelConfig, hook=None,
                   trainable: dict[str, ad.Var] | None = None) -> ad.Var:
     """One decoder block. `hook(layer, x) -> y` applies each linear layer;
-    the default multiplies by the layer's effective weight."""
-    if hook is None:
-        hook = _default_hook(trainable or {}, None)
+    the default multiplies by the layer's effective weight. The rotary
+    tables are those of `x`'s length and dtype."""
     trainable = trainable or {}
-    t = x.value.shape[1]
+    if hook is None:
+        def hook(layer: Linear, xv: ad.Var) -> ad.Var:
+            return linear_apply(layer, xv, trainable)
+    cos, sin = rope_tables(x.value.shape[1], cfg.d_model // cfg.n_heads,
+                           cfg.rope_theta, x.value.dtype)
 
     a = ad.rmsnorm(x, _norm_var(block, "norm1", trainable))
     q = hook(block.layers["q"], a)
     k = hook(block.layers["k"], a)
     v = hook(block.layers["v"], a)
-    ctx = ad.causal_attention(q, k, v, n_heads, rope_cos[:t], rope_sin[:t])
+    ctx = ad.causal_attention(q, k, v, cfg.n_heads, cos, sin)
     o = hook(block.layers["o"], ctx)
     h = ad.add(x, o)
 

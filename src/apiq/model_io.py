@@ -10,6 +10,8 @@ adds ".lora_a" / ".lora_b".
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .checkpoint import Entry, load_tensors, save_tensors
@@ -19,10 +21,8 @@ from .quant import ClipParams, GroupParams, PackedCodes, QuantSpec
 
 
 def model_entries(model: TinyTransformer) -> list[Entry]:
-    cfg = model.config
-    entries: list[Entry] = [("config", np.array(
-        [cfg.vocab, cfg.d_model, cfg.n_heads, cfg.d_ff, cfg.n_blocks,
-         cfg.max_seq, cfg.rope_theta], dtype=np.float64))]
+    entries: list[Entry] = [("config", np.array(dataclasses.astuple(model.config),
+                                                dtype=np.float64))]
 
     quantized = [lay for lay in model.iter_layers() if lay.qstate is not None]
     if quantized:
@@ -72,12 +72,18 @@ def load_model(path) -> TinyTransformer:
     """Rebuild a model from a checkpoint, checking every tensor against the
     shape its config implies; any mismatch raises `FormatError`."""
     tensors = dict(load_tensors(path))
-    c = _header(tensors, "config", 7)
+    fields = dataclasses.fields(ModelConfig)
+    c = _header(tensors, "config", len(fields))
     m = _header(tensors, "quant.meta", 4) if "quant.meta" in tensors else None
+    values = {}
+    for f, v in zip(fields, c.tolist()):
+        if isinstance(f.default, int):
+            if not v.is_integer():
+                raise FormatError(f"header {f.name} {v!r} is not an integer")
+            v = int(v)
+        values[f.name] = v
     try:
-        cfg = ModelConfig(vocab=int(c[0]), d_model=int(c[1]), n_heads=int(c[2]),
-                          d_ff=int(c[3]), n_blocks=int(c[4]), max_seq=int(c[5]),
-                          rope_theta=float(c[6]))
+        cfg = ModelConfig(**values)
         spec = None
         alpha = -1.0
         if m is not None:

@@ -11,9 +11,12 @@ The corpus is any UTF-8 file; tokenization is the identity on bytes
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .errors import ConfigError, InputError
+from .model import ModelConfig
 
 _CHOICES = {
     "calib.method": ("apiq-lw", "apiq-bw", "loftq", "rtn", "qlora"),
@@ -22,16 +25,11 @@ _CHOICES = {
     "finetune.schedule": ("static", "cosine"),
 }
 
-# key -> (type, default)
+# key -> (type, default); the model.* keys are the ModelConfig fields
 SCHEMA: dict[str, tuple[type, object]] = {
     "seed": (int, 0),
-    "model.vocab": (int, 256),
-    "model.d_model": (int, 64),
-    "model.n_heads": (int, 4),
-    "model.d_ff": (int, 128),
-    "model.n_blocks": (int, 2),
-    "model.max_seq": (int, 128),
-    "model.rope_theta": (float, 10000.0),
+    **{f"model.{f.name}": (type(f.default), f.default)
+       for f in dataclasses.fields(ModelConfig)},
     "quant.bits": (int, 2),
     "quant.group": (int, 64),
     "quant.clip_granularity": (str, "per-matrix"),

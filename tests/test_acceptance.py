@@ -199,8 +199,7 @@ def test_criterion_2_gradient_suite():
     model = TinyTransformer.init(cfg, seed=60, dtype=np.float64)
     block = model.blocks[0]
     x = RngState(61).randn((2, 4, 8))
-    y_full = forward_block(block, ad.Var(x), model.rope_cos, model.rope_sin,
-                           cfg.n_heads).value
+    y_full = forward_block(block, ad.Var(x), cfg).value
     spec = QuantSpec(bits=4, group=8)
     fixed = {}
     for i, (lname, lay) in enumerate(block.layers.items()):
@@ -222,8 +221,7 @@ def test_criterion_2_gradient_suite():
         def hook(layer, xv):
             return ad.matmul(xv, effs[layer.name.rsplit(".", 1)[1]])
 
-        out = forward_block(block, ad.Var(x), model.rope_cos, model.rope_sin,
-                            cfg.n_heads, hook=hook)
+        out = forward_block(block, ad.Var(x), cfg, hook=hook)
         return ad.mse(out, y_full)
 
     gamma_q = ad.Var(np.full((), 4.0), requires_grad=True)

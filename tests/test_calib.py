@@ -10,8 +10,8 @@ from apiq.calib import (AdamW, CalibPlan, apiq_bw_block, apiq_lw_layer,
 from apiq.errors import ConfigError, NumericError
 from apiq.evals import activation_error_profile
 from apiq.linalg import group_minmax
-from apiq.model import (Capture, Linear, ModelConfig, TinyTransformer,
-                        forward_block)
+from apiq.model import (Linear, ModelConfig, TinyTransformer, forward_block,
+                        linear_apply)
 from apiq.quant import QuantSpec, fake_quant
 from apiq.rng import RngState
 
@@ -242,8 +242,7 @@ class TestApiqBwBlock:
         plan = CalibPlan(method="apiq-bw", epochs=2, batch_size=2, seed=0,
                          clip_init=30.0)
         y, yq, rows = apiq_bw_block(block, x, x, plan, spec, rank=0,
-                                    stream=RngState(32), rope_cos=model.rope_cos,
-                                    rope_sin=model.rope_sin, n_heads=CFG.n_heads,
+                                    stream=RngState(32), cfg=CFG,
                                     unit="blocks.0")
         assert rows[0].loss <= 1e-12
         assert float(((y - yq) ** 2).mean()) <= 1e-6
@@ -259,8 +258,7 @@ class TestApiqBwBlock:
             plan_kwargs = dict(epochs=20, batch_size=4, seed=seed)
 
             block_lw = copy.deepcopy(model.blocks[0])
-            y_full = forward_block(block_lw, ad.Var(x), model.rope_cos,
-                                   model.rope_sin, CFG.n_heads).value
+            y_full = forward_block(block_lw, ad.Var(x), CFG).value
             counter = [0]
 
             def hook(layer, xv):
@@ -272,16 +270,14 @@ class TestApiqBwBlock:
 
             # x == x^q entering the block; lw calibrates each layer on its
             # own propagated stream
-            out_lw = forward_block(block_lw, ad.Var(x), model.rope_cos,
-                                   model.rope_sin, CFG.n_heads, hook=hook).value
+            out_lw = forward_block(block_lw, ad.Var(x), CFG, hook=hook).value
             mse_lw = float(((out_lw - y_full) ** 2).mean())
 
             block_bw = copy.deepcopy(model.blocks[0])
             plan = CalibPlan(method="apiq-bw", **plan_kwargs)
             _, yq_bw, rows = apiq_bw_block(
                 block_bw, x, x, plan, spec, rank=8, stream=RngState(seed),
-                rope_cos=model.rope_cos, rope_sin=model.rope_sin,
-                n_heads=CFG.n_heads, unit="blocks.0")
+                cfg=CFG, unit="blocks.0")
             mse_bw = float(((yq_bw - y_full) ** 2).mean())
             gaps.append(mse_bw - mse_lw)
         assert np.median(gaps) <= 0.0
@@ -295,8 +291,7 @@ class TestApiqBwBlock:
         model = TinyTransformer.init(cfg, seed=60, dtype=np.float64)
         block = model.blocks[0]
         x = RngState(61).randn((2, 4, 8))
-        y_full = forward_block(block, ad.Var(x), model.rope_cos, model.rope_sin,
-                               cfg.n_heads).value
+        y_full = forward_block(block, ad.Var(x), cfg).value
         spec = QuantSpec(bits=4, group=8)
         rank = 2
         from apiq.quant import ste_fake_quant
@@ -324,8 +319,7 @@ class TestApiqBwBlock:
             def hook(layer, xv):
                 return ad.matmul(xv, effs[layer.name.rsplit(".", 1)[1]])
 
-            out = forward_block(block, ad.Var(x), model.rope_cos, model.rope_sin,
-                                cfg.n_heads, hook=hook)
+            out = forward_block(block, ad.Var(x), cfg, hook=hook)
             return ad.mse(out, y_full)
 
         gamma_q = ad.Var(np.full((), 4.0), requires_grad=True)
@@ -362,8 +356,7 @@ class TestRetainedLoss:
         plan = CalibPlan(method="apiq-bw", epochs=3, batch_size=2, seed=1)
         y_full, y_q, rows = apiq_bw_block(
             model.blocks[0], x, x_q, plan, QuantSpec(bits=2, group=32), rank=rank,
-            stream=RngState(1), rope_cos=model.rope_cos, rope_sin=model.rope_sin,
-            n_heads=CFG.n_heads, unit="blocks.0")
+            stream=RngState(1), cfg=CFG, unit="blocks.0")
         assert min(r.loss for r in rows) == self._frozen_loss(y_q, y_full)
 
 
@@ -428,12 +421,30 @@ class TestQuantizeModel:
         plan = CalibPlan(method="apiq-lw", epochs=2, batch_size=4, seed=5)
         qm, _ = quantize_model(model, calib, plan, QuantSpec(bits=2, group=16),
                                rank=4)
-        cap = Capture()
-        qm.forward(calib.tokens, capture=cap)
-        for tap in cap.layers:
-            lay = qm.find_layer(tap.name)
-            assert tap.y.tobytes() == (tap.x @ lay.effective_weight()).tobytes()
-        assert cap.block_outputs[0].tobytes() == cap.block_inputs[1].tobytes()
+        seen = []
+
+        def hook(layer, xv):
+            y = linear_apply(layer, xv)
+            assert y.value.tobytes() == (xv.value @ layer.effective_weight()).tobytes()
+            seen.append(layer.name)
+            return y
+
+        qm.forward(calib.tokens, hook=hook)
+        assert seen == list(qm.layers)
+
+    @pytest.mark.parametrize("method", ["apiq-lw", "apiq-bw"])
+    def test_no_whole_model_forward(self, toy_setup, monkeypatch, method):
+        # X and X^q are carried block by block; nothing reruns the model
+        model, calib = toy_setup
+
+        def forward(*args, **kwargs):
+            raise AssertionError("quantize_model ran TinyTransformer.forward")
+
+        monkeypatch.setattr(TinyTransformer, "forward", forward)
+        plan = CalibPlan(method=method, epochs=1, batch_size=4, seed=1)
+        qm, _ = quantize_model(model, calib, plan, QuantSpec(bits=2, group=16),
+                               rank=2)
+        assert all(lay.qstate is not None for lay in qm.iter_layers())
 
     def test_calibration_bitwise_reproducible(self, toy_setup, tmp_path):
         from apiq import model_io

@@ -102,6 +102,16 @@ class TestPretrain:
                      "--out", str(ws / "x.ckpt")])
         assert code == 2
 
+    @pytest.mark.parametrize("theta", ["0", "inf"])
+    def test_bad_rope_theta_exit_2(self, ws, capsys, theta):
+        bad = ws / "theta.cfg"
+        bad.write_text(CONFIG_TEXT + f"model.rope_theta = {theta}\n")
+        out = ws / "theta.ckpt"
+        assert main(["pretrain", "--config", str(bad),
+                     "--corpus", str(ws / "corpus.txt"), "--out", str(out)]) == 2
+        assert "rope_theta" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_short_corpus_exit_3(self, ws):
         tiny = ws / "tiny.txt"
         tiny.write_bytes(b"too short")
@@ -336,6 +346,29 @@ class TestCorruptCheckpoints:
         assert main(["eval", "--in", str(bad),
                      "--corpus", str(ws / "corpus.txt")]) == 3
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index,value,named", [(2, 2.5, "n_heads 2.5"),
+                                                   (6, 0.0, "rope_theta"),
+                                                   (6, -1.0, "rope_theta")])
+    def test_header_value_invalid_exit_3(self, ws, pretrained, capsys, index, value,
+                                         named):
+        bad = _tampered(pretrained, ws / "value.ckpt", "config",
+                        lambda t: t.__setitem__(index, value))
+        assert main(["eval", "--in", str(bad),
+                     "--corpus", str(ws / "corpus.txt")]) == 3
+        assert named in capsys.readouterr().err
+
+    def test_huge_max_seq_is_a_limit(self, ws, pretrained, capsys):
+        # max_seq has no tensor to check against: a header of 2**40 must
+        # allocate nothing of that length and leave the perplexity as it is
+        args = ["eval", "--config", str(ws / "run.cfg"),
+                "--corpus", str(ws / "corpus.txt"), "--in"]
+        assert main(args + [str(pretrained)]) == 0
+        expect = capsys.readouterr().out
+        bad = _tampered(pretrained, ws / "seq.ckpt", "config",
+                        lambda t: t.__setitem__(5, 2.0 ** 40))
+        assert main(args + [str(bad)]) == 0
+        assert capsys.readouterr().out == expect
 
     def test_bad_config_tensor_exit_3(self, ws, pretrained, capsys):
         bad = _tampered(pretrained, ws / "heads.ckpt", "config",

@@ -4,8 +4,7 @@ import pytest
 from apiq.calib import CalibPlan, quantize_model, sample_calib
 from apiq.errors import InputError
 from apiq.evals import (activation_error_profile, histogram_export,
-                        histograms_to_tsv, perplexity,
-                        relative_weight_error_report, report_to_tsv,
+                        histograms_to_tsv, perplexity, report_to_tsv,
                         weight_error_report)
 from apiq.model import ModelConfig, TinyTransformer
 from apiq.quant import QuantSpec
@@ -118,47 +117,16 @@ class TestWeightError:
         spec = QuantSpec(bits=2, group=16)
         rtn, _ = quantize_model(m, calib, CalibPlan(method="rtn", seed=seed),
                                 spec, rank=4)
-        loftq, _ = quantize_model(m, calib, CalibPlan(method="loftq", seed=seed),
-                                  spec, rank=4)
-        return m, rtn, loftq
-
-    def test_relative_error_zero_for_same_model(self):
-        m, rtn, _ = self._models()
-        rep = relative_weight_error_report(m, rtn, rtn)
-        assert all(r.value == 0.0 for r in rep.records)
-
-    def test_loftq_positive_relative_error_vs_rtn(self):
-        m, rtn, loftq = self._models(seed=1)
-        rep = relative_weight_error_report(m, rtn, loftq)
-        base = weight_error_report(m, rtn)
-        for rel, b in zip(rep.records, base.records):
-            if b.value > 0:
-                assert rel.value > 0.0
+        return m, rtn
 
     def test_tsv_shape(self):
-        m, rtn, _ = self._models(seed=2)
+        m, rtn = self._models(seed=2)
         rep = weight_error_report(m, rtn)
         text = report_to_tsv(rep, config_line="seed=2")
         lines = text.strip().split("\n")
         assert lines[0] == "config\tseed=2"
         assert lines[1] == "layer\tblock\tweight-frobenius"
         assert len(lines) == 2 + 14
-
-    def test_gradient_method_vs_loftq_recorded_not_asserted(self):
-        # sign of the per-layer relative error is data-dependent here, so
-        # this is a diagnostic: it must be finite and fully populated only
-        m = TinyTransformer.init(CFG, seed=80)
-        corpus = RngState(81).randint(0, 256, (4096,))
-        calib = sample_calib(corpus, 4, 32, seed=4)
-        spec = QuantSpec(bits=2, group=16)
-        loftq, _ = quantize_model(m, calib, CalibPlan(method="loftq", seed=4),
-                                  spec, rank=4)
-        lw, _ = quantize_model(m, calib,
-                               CalibPlan(method="apiq-lw", epochs=3, seed=4),
-                               spec, rank=4)
-        rep = relative_weight_error_report(m, loftq, lw)
-        assert len(rep.records) == 14
-        assert all(np.isfinite(r.value) for r in rep.records)
 
 
 class TestHistograms:

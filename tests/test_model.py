@@ -4,8 +4,8 @@ import pytest
 from apiq import autodiff as ad
 from apiq.errors import InputError
 from apiq.linalg import group_minmax
-from apiq.model import (Capture, Linear, LoraPair, ModelConfig, QuantState,
-                        TinyTransformer, forward_block)
+from apiq.model import (Linear, LoraPair, ModelConfig, QuantState,
+                        TinyTransformer, forward_block, linear_apply, rope_tables)
 from apiq.quant import QuantSpec, clip_to_params, pack, quantize
 from apiq.rng import RngState
 
@@ -14,6 +14,20 @@ CFG = ModelConfig(vocab=64, d_model=32, n_heads=4, d_ff=48, n_blocks=2, max_seq=
 
 def _tokens(seed, shape, vocab=64):
     return RngState(seed).randint(0, vocab, shape)
+
+
+def _record_layers(model, tokens):
+    """(name, x, y) of every linear layer in dataflow order, recorded
+    through the forward hook."""
+    taps = []
+
+    def hook(layer, x):
+        y = linear_apply(layer, x)
+        taps.append((layer.name, x.value, y.value))
+        return y
+
+    model.forward(tokens, hook=hook)
+    return taps
 
 
 def _quantize_layer_rtn(layer, spec):
@@ -77,9 +91,8 @@ class TestForward:
 
     def test_capture_dataflow_order(self):
         m = TinyTransformer.init(CFG, seed=8)
-        cap = Capture()
-        m.forward(_tokens(9, (1, 8)), capture=cap)
-        names = [t.name for t in cap.layers]
+        taps = _record_layers(m, _tokens(9, (1, 8)))
+        names = [name for name, _, _ in taps]
         assert names == [
             "blocks.0.attn.q", "blocks.0.attn.k", "blocks.0.attn.v",
             "blocks.0.attn.o", "blocks.0.mlp.gate", "blocks.0.mlp.up",
@@ -89,8 +102,8 @@ class TestForward:
             "blocks.1.mlp.down",
         ]
         # q, k, v share one input
-        assert cap.layers[0].x.tobytes() == cap.layers[1].x.tobytes()
-        assert cap.layers[0].x.tobytes() == cap.layers[2].x.tobytes()
+        assert taps[0][1].tobytes() == taps[1][1].tobytes()
+        assert taps[0][1].tobytes() == taps[2][1].tobytes()
 
 
 class TestForwardBlock:
@@ -113,14 +126,14 @@ class TestForwardBlock:
             assert lay.qstate.dequantized().tobytes() == \
                 m.find_layer(lay.name).weight.tobytes()
         x = ad.Var(RngState(11).randn((2, 6, 32)).astype(np.float32))
-        yf = forward_block(m.blocks[0], x, m.rope_cos, m.rope_sin, CFG.n_heads)
-        yq = forward_block(q.blocks[0], x, q.rope_cos, q.rope_sin, CFG.n_heads)
+        yf = forward_block(m.blocks[0], x, CFG)
+        yq = forward_block(q.blocks[0], x, CFG)
         assert yf.value.tobytes() == yq.value.tobytes()
 
     def test_zero_input_finite_uniform_attention(self):
         m = TinyTransformer.init(CFG, seed=12)
         x = ad.Var(np.zeros((1, 5, 32), dtype=np.float32))
-        y = forward_block(m.blocks[0], x, m.rope_cos, m.rope_sin, CFG.n_heads)
+        y = forward_block(m.blocks[0], x, CFG)
         assert y.value.shape == (1, 5, 32)
         assert np.isfinite(y.value).all()
 
@@ -128,7 +141,7 @@ class TestForwardBlock:
         m = TinyTransformer.init(CFG, seed=16)
         x = ad.param(RngState(17).randn((2, 6, 32)).astype(np.float32))
         with ad.Tape() as tape:
-            forward_block(m.blocks[0], x, m.rope_cos, m.rope_sin, CFG.n_heads)
+            forward_block(m.blocks[0], x, CFG)
         ops = [op for op, _ in tape.entries]
         assert ops.count("causal_attention") == 1
         assert not {"causal_softmax", "rope_rotate", "reshape", "transpose",
@@ -142,7 +155,7 @@ class TestForwardBlock:
         x = ad.Var(RngState(15).randn((1, 4, 16)))
 
         def f(x):
-            y = forward_block(m.blocks[0], x, m.rope_cos, m.rope_sin, cfg.n_heads)
+            y = forward_block(m.blocks[0], x, cfg)
             return ad.mse(y, target)
 
         rep = ad.gradcheck(f, [x])
@@ -194,14 +207,38 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="positive"):
             ModelConfig(**{field: 0})
 
+    @pytest.mark.parametrize("theta", [0.0, -1.0, np.inf, np.nan])
+    def test_rope_theta_must_be_finite_positive(self, theta):
+        from apiq.errors import ConfigError
+        with pytest.raises(ConfigError, match="rope_theta"):
+            ModelConfig(rope_theta=theta)
+
 
 class TestRope:
     def test_norm_preservation(self):
-        m = TinyTransformer.init(CFG, seed=20)
         x = RngState(21).randn((2, 4, 8, 8)).astype(np.float32)
-        y = ad.rope_rotate(ad.Var(x), m.rope_cos[:8], m.rope_sin[:8]).value
+        cos, sin = rope_tables(8, 8, CFG.rope_theta, np.float32)
+        y = ad.rope_rotate(ad.Var(x), cos, sin).value
         pair = lambda a: np.sqrt(a[..., 0::2] ** 2 + a[..., 1::2] ** 2)
         assert np.abs(pair(x) - pair(y)).max() <= 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("head_dim", [4, 8, 16, 32])
+    def test_tables_are_prefixes_of_longer_ones(self, dtype, head_dim):
+        # built per length, each table is bitwise the first t rows of a
+        # long one, so lazily built tables give the bytes of a max_seq table
+        long_cos, long_sin = rope_tables(4096, head_dim, 10000.0, dtype)
+        for t in range(1, 129):
+            cos, sin = rope_tables(t, head_dim, 10000.0, dtype)
+            assert cos.shape == (t, head_dim // 2) and cos.dtype == dtype
+            assert cos.tobytes() == long_cos[:t].tobytes()
+            assert sin.tobytes() == long_sin[:t].tobytes()
+
+    def test_tables_are_read_only(self):
+        cos, sin = rope_tables(8, 8, 10000.0, np.float32)
+        for table in (cos, sin):
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
 
 
 def _slots(model):
@@ -240,9 +277,8 @@ class TestRegistry:
 
     def test_layers_in_dataflow_order(self):
         m = TinyTransformer.init(self.SMALL, seed=30)
-        cap = Capture()
-        m.forward(_tokens(35, (1, 8)), capture=cap)
-        assert list(m.layers) == [tap.name for tap in cap.layers]
+        taps = _record_layers(m, _tokens(35, (1, 8)))
+        assert list(m.layers) == [name for name, _, _ in taps]
         assert all(m.find_layer(n) is lay for n, lay in m.layers.items())
 
     @pytest.mark.parametrize("source", ["init", "load"])
