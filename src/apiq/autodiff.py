@@ -292,8 +292,10 @@ def _causal_mask(t: int) -> np.ndarray:
 
 
 def _causal_softmax_(s: np.ndarray) -> np.ndarray:
-    """Causal softmax of (..., t, t) scores computed in place in `s`."""
-    np.copyto(s, -np.inf, where=_causal_mask(s.shape[-1]))
+    """Causal softmax of (..., r, t) scores computed in place in `s`: the
+    rows are the last r query positions of t, so a square `s` is the whole
+    sequence."""
+    np.copyto(s, -np.inf, where=_causal_mask(s.shape[-1])[-s.shape[-2]:])
     s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
@@ -384,6 +386,35 @@ def rope_rotate(a, cos: np.ndarray, sin: np.ndarray) -> Var:
     return _record("rope_rotate", out, (a,), back)
 
 
+# Untaped attention of at most ATTN_BLOCK_MAX_T positions runs per block of
+# ATTN_BLOCK query rows. Bits equal the full path's because every key prefix
+# but the last is a multiple of 8 and at most 128 long, which numpy sums in
+# the order of the zero-tailed full row, and no block has a single row (a
+# one-row product takes another BLAS kernel).
+ATTN_BLOCK = 32
+ATTN_BLOCK_MAX_T = 128
+
+
+def _blocked_attention(qr: np.ndarray, kr: np.ndarray, vh: np.ndarray,
+                       c: float) -> np.ndarray:
+    """softmax(qr kr^T * c, causal) vh of rotated (n, h, t, hd) heads,
+    merged to (n, t, h * hd), for query rows [i0, i1) over the keys [0, i1)
+    one block at a time, so fully masked blocks are never computed."""
+    n, h, t, hd = qr.shape
+    out = np.empty((n, t, h, hd), dtype=np.result_type(qr, vh))
+    heads_out = out.transpose(0, 2, 1, 3)
+    ends = list(range(ATTN_BLOCK, t, ATTN_BLOCK)) + [t]
+    if len(ends) > 1 and ends[-1] - ends[-2] == 1:
+        del ends[-2]
+    i0 = 0
+    for i1 in ends:
+        s = qr[:, :, i0:i1] @ np.swapaxes(kr[:, :, :i1], -1, -2)
+        s *= c
+        heads_out[:, :, i0:i1] = _causal_softmax_(s) @ vh[:, :, :i1]
+        i0 = i1
+    return out.reshape(n, t, h * hd)
+
+
 def causal_attention(q, k, v, n_heads: int, cos: np.ndarray,
                      sin: np.ndarray) -> Var:
     """Multi-head causal self-attention with rotary positions, one tape entry.
@@ -395,6 +426,12 @@ def causal_attention(q, k, v, n_heads: int, cos: np.ndarray,
     chain of reshape/transpose/rope_rotate/matmul/scale/causal_softmax
     primitives, so values and gradients are bitwise the same; of the
     (t, t) score arrays only the softmax output is kept for the backward.
+
+    When nothing will be differentiated and t <= ATTN_BLOCK_MAX_T, the same
+    operations run per block of query rows over the keys it may see (see
+    `_blocked_attention`), with the full path's output bits. A non-finite
+    value in v then reaches no row of an earlier block, where the full
+    path spreads it to every earlier row through 0 * nan.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     shape = q.value.shape
@@ -418,6 +455,9 @@ def causal_attention(q, k, v, n_heads: int, cos: np.ndarray,
     qr = _rope(heads(q.value), cos, sin)
     kr = _rope(heads(k.value), cos, sin)
     vh = heads(v.value)
+    taped = _active_tape is not None and any(x.requires_grad for x in (q, k, v))
+    if not taped and t <= ATTN_BLOCK_MAX_T:
+        return Var(_blocked_attention(qr, kr, vh, c))
     s = qr @ np.swapaxes(kr, -1, -2)
     s *= c
     p = _causal_softmax_(s)
@@ -524,11 +564,13 @@ def mse(a, b) -> Var:
     return _record("mse", out, (a, b), back)
 
 
-def log_softmax_nll(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def log_softmax_nll(logits: np.ndarray, targets: np.ndarray,
+                    overwrite: bool = False) -> np.ndarray:
     """Per-row negative log-likelihood from raw logits (max-subtracted
     log-sum-exp). logits (N, V), targets (N,) ints; returns (N,) in the
-    logits dtype."""
-    z = logits - logits.max(axis=-1, keepdims=True)
+    logits dtype. With `overwrite` the logits are the scratch buffer."""
+    z = np.subtract(logits, logits.max(axis=-1, keepdims=True),
+                    out=logits if overwrite else None)
     picked = z[np.arange(z.shape[0]), targets]
     lse = np.log(np.exp(z, out=z).sum(axis=-1))
     return lse - picked

@@ -13,8 +13,9 @@ current clipping logits on every batch). The block-wise variant optimizes
 all seven projections of a transformer block jointly against the
 full-precision block output. Both variants run one shared AdamW loop
 (`_calibrate`) that tracks the epoch-end loss on the whole calibration set
-and keeps the best-seen parameter state, so the retained loss never
-exceeds the value at initialization.
+(forwarded batch by batch, with the weights of that epoch's end) and keeps
+the best-seen parameter state, so the retained loss never exceeds the
+value at initialization. A non-finite batch or epoch-end loss is an error.
 
 Adapters start from the standard low-rank-adapter default (A uniform in
 +-1/sqrt(d1), B = 0) so the initial loss equals the pure-quantization
@@ -59,8 +60,10 @@ class CalibPlan:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.method in ("apiq-lw", "apiq-bw") and self.epochs < 1:
             raise ConfigError("gradient-based methods need epochs >= 1")
-        if self.lr_theta <= 0 or self.lr_lora <= 0:
-            raise ConfigError("learning rates must be positive")
+        for name in ("lr_theta", "lr_lora"):
+            lr = getattr(self, name)
+            if not (math.isfinite(lr) and lr > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {lr!r}")
 
 
 @dataclass
@@ -224,8 +227,10 @@ def _calibrate(states: list[_TrainableQuant], forward, x_q: np.ndarray,
 
     `forward(x, effs)` maps a batch and one effective-weight expression
     per state to the unit's output. The loss on the whole set is taken
-    after every epoch; the best state seen (strictly lower loss) is
-    restored and every state frozen. Returns the per-epoch log.
+    after every epoch, one batch at a time into one f64 buffer; the best
+    state seen (strictly lower loss) is restored and every state frozen. A
+    non-finite loss raises NumericError naming the unit and epoch (and
+    batch). Returns the per-epoch log.
     """
     lora = [p for st in states if st.lora is not None for p in (st.lora.a, st.lora.b)]
     theta = [p for st in states for p in (st.gamma, st.beta)]
@@ -233,31 +238,39 @@ def _calibrate(states: list[_TrainableQuant], forward, x_q: np.ndarray,
               for ps, lr in ((lora, plan.lr_lora), (theta, plan.lr_theta)) if ps]
     opt = AdamW(groups)
     params = lora + theta
+    batches = [slice(lo, lo + plan.batch_size)
+               for lo in range(0, len(x_q), plan.batch_size)]
+    diff = np.empty(y_full.shape, dtype=np.float64)
 
-    def run(x: np.ndarray) -> tuple[ad.Var, dict[int, ad.Var]]:
-        leaves = {id(p): ad.param(p) for p in params}
-        return forward(x, [st.effective_var(spec, leaves) for st in states]), leaves
+    def effective(leaf) -> tuple[list[ad.Var], dict[int, ad.Var]]:
+        leaves = {id(p): leaf(p) for p in params}
+        return [st.effective_var(spec, leaves) for st in states], leaves
 
-    def full_loss() -> float:
-        # in place: f64 temporaries of the whole set cost more than the
-        # arithmetic; the values are those of (d * d).mean()
-        d = run(x_q)[0].value.astype(np.float64)
-        d -= y_full
-        d *= d
-        return float(d.mean())
+    def full_loss(epoch: int) -> float:
+        # per batch into one f64 buffer, squared in place: the values are
+        # those of a whole-set forward, without its whole-set temporaries
+        effs = effective(ad.Var)[0]
+        for b in batches:
+            diff[b] = forward(x_q[b], effs).value
+        np.subtract(diff, y_full, out=diff)
+        np.multiply(diff, diff, out=diff)
+        loss = float(diff.mean())
+        if not math.isfinite(loss):
+            raise NumericError(f"non-finite loss at {unit}, epoch {epoch}")
+        return loss
 
-    best, best_state = full_loss(), [p.copy() for p in params]
+    best, best_state = full_loss(0), [p.copy() for p in params]
     rows = [CalibLogRow(unit=unit, epoch=0, loss=best)]
     for epoch in range(1, plan.epochs + 1):
-        for bi, lo in enumerate(range(0, len(x_q), plan.batch_size)):
+        for bi, b in enumerate(batches):
             with ad.Tape() as tape:
-                out, leaves = run(x_q[lo:lo + plan.batch_size])
-                loss = ad.mse(out, y_full[lo:lo + plan.batch_size])
+                effs, leaves = effective(ad.param)
+                loss = ad.mse(forward(x_q[b], effs), y_full[b])
             if not np.isfinite(loss.value):
                 raise NumericError(f"non-finite loss at {unit}, epoch {epoch}, batch {bi}")
             ad.backward(tape, loss)
             opt.step([[leaves[id(p)].grad for p in ps] for ps, _, _ in groups])
-        end = full_loss()
+        end = full_loss(epoch)
         rows.append(CalibLogRow(unit=unit, epoch=epoch, loss=end))
         if end < best:
             best, best_state = end, [p.copy() for p in params]

@@ -30,7 +30,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InputError
 from .quant import PackedCodes
 
 MAGIC = b"APIQCKPT"
@@ -124,8 +124,11 @@ class _Reader:
 
 
 def load_tensors(path) -> list[Entry]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read checkpoint {path}: {exc}") from exc
     r = _Reader(blob)
     if r.take(len(MAGIC), "magic") != MAGIC:
         raise FormatError("bad magic", offset=0)

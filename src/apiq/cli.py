@@ -171,6 +171,8 @@ def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     if args.chunk_len is not None:
         cfg["eval.chunk_len"] = args.chunk_len
+    if args.bins < 2:
+        raise ConfigError(f"--bins must be >= 2, got {args.bins}")
     model = model_io.load_model(args.input)
     corpus = _corpus_tokens(args.corpus)
     prefix = args.report_prefix if args.report_prefix is not None else args.input

@@ -9,30 +9,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import log_softmax_nll
-from .errors import InputError, NumericError, ShapeError
+from .autodiff import Var, log_softmax_nll, matmul
+from .errors import ConfigError, InputError, NumericError, ShapeError
 from .model import Linear, TinyTransformer, linear_apply
 
 
-def perplexity(model: TinyTransformer, tokens: np.ndarray, chunk_len: int,
-               batch_chunks: int = 64) -> float:
+# Perplexity forwards at most PPL_STEP_TOKENS tokens at a time, so that its
+# buffers stay cache-sized, and sums the per-token NLL of PPL_GROUP_CHUNKS
+# chunks in one call: the grouping fixes the bits of the result.
+PPL_STEP_TOKENS = 1024
+PPL_GROUP_CHUNKS = 64
+
+
+def perplexity(model: TinyTransformer, tokens: np.ndarray, chunk_len: int) -> float:
     """exp of the mean token-level cross-entropy over non-overlapping
-    chunks of `chunk_len` tokens; the trailing partial chunk is dropped."""
+    chunks of `chunk_len` tokens; the trailing partial chunk is dropped.
+    Each layer's effective weight is built once per call."""
+    if chunk_len < 2:
+        raise ConfigError(f"eval.chunk_len must be >= 2, got {chunk_len}")
     tokens = np.asarray(tokens).reshape(-1)
     n_chunks = len(tokens) // chunk_len
     if n_chunks < 1:
         raise InputError(
             f"corpus has {len(tokens)} tokens, shorter than one chunk ({chunk_len})")
     chunks = tokens[: n_chunks * chunk_len].reshape(n_chunks, chunk_len)
+    step = min(PPL_GROUP_CHUNKS, max(1, PPL_STEP_TOKENS // chunk_len))
+    effs = {lay.name: Var(lay.effective_weight()) for lay in model.iter_layers()}
+
+    def hook(layer: Linear, x: Var) -> Var:
+        return matmul(x, effs[layer.name])
+
     total = 0.0
     count = 0
-    for lo in range(0, n_chunks, batch_chunks):
-        batch = chunks[lo: lo + batch_chunks]
-        logits = model.forward(batch).value[:, :-1].astype(np.float64)
-        flat = logits.reshape(-1, logits.shape[-1])
-        tgt = batch[:, 1:].reshape(-1)
-        total += float(log_softmax_nll(flat, tgt).sum())
-        count += tgt.size
+    for g0 in range(0, n_chunks, PPL_GROUP_CHUNKS):
+        group = chunks[g0: g0 + PPL_GROUP_CHUNKS]
+        nll = []
+        for lo in range(0, len(group), step):
+            batch = group[lo: lo + step]
+            logits = model.forward(batch, hook=hook).value[:, :-1].astype(np.float64)
+            nll.append(log_softmax_nll(logits.reshape(-1, logits.shape[-1]),
+                                       batch[:, 1:].reshape(-1), overwrite=True))
+        total += float(np.concatenate(nll).sum())
+        count += group[:, 1:].size
     ppl = float(np.exp(total / count))
     if not np.isfinite(ppl):
         raise NumericError(f"non-finite perplexity {ppl!r}")

@@ -212,6 +212,29 @@ def test_causal_attention_bitwise_equals_chain_f32(n, t, d, n_heads, trained):
             assert g[i] is None and g_ref[i] is None
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n,d,n_heads", [(1, 16, 1), (3, 32, 2), (2, 64, 4)])
+def test_untaped_causal_attention_bitwise_equals_taped(dtype, n, d, n_heads):
+    """The blocked path taken when nothing is differentiated gives the
+    taped op's bytes at every length: one-row tails (33, 65, 97), the
+    longest blocked length (128) and lengths past it (129, 130, 200, 256)."""
+    for t in list(range(1, 131)) + [200, 256]:
+        r = RngState(1000 + t)
+        q, k, v = (r.randn((n, t, d)).astype(dtype) for _ in range(3))
+        ang = r.uniform((t, d // n_heads // 2), 0, 6.28)
+        cos, sin = np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+        with ad.Tape() as tape:
+            taped = ad.causal_attention(q, k, ad.param(v), n_heads, cos, sin)
+        assert [op for op, _ in tape.entries] == ["causal_attention"]
+        plain = ad.causal_attention(q, k, v, n_heads, cos, sin)
+        with ad.Tape() as tape:
+            untrained = ad.causal_attention(q, k, v, n_heads, cos, sin)
+        assert not tape.entries
+        for out in (plain, untrained):
+            assert out.value.dtype == dtype, t
+            assert out.value.tobytes() == taped.value.tobytes(), t
+
+
 def test_causal_attention_rejects_mismatched_shapes():
     x = np.zeros((1, 4, 8))
     cos = np.ones((4, 2))

@@ -83,6 +83,9 @@ class TestPlanAndData:
             CalibPlan(method="apiq-lw", epochs=0)
         with pytest.raises(ConfigError):
             CalibPlan(lr_theta=0.0)
+        for lr in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="lr_lora"):
+                CalibPlan(lr_lora=lr)
 
     def test_sample_calib_deterministic(self):
         corpus = _toy_corpus()
@@ -336,28 +339,44 @@ class TestRetainedLoss:
     def _frozen_loss(y_q, y_full):
         return float(((y_q.astype(np.float64) - y_full) ** 2).mean())
 
-    @pytest.mark.parametrize("rank", [0, 4])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_lw_layer(self, rank, seed):
+    def _check_lw(self, rank, seed, n_samples):
         spec = QuantSpec(bits=2, group=16)
         w = (RngState(70 + seed).randn((32, 16)) * 0.1).astype(np.float32)
-        x = RngState(80 + seed).randn((6, 4, 32)).astype(np.float32)
+        x = RngState(80 + seed).randn((n_samples, 4, 32)).astype(np.float32)
         x_q = x + (RngState(90 + seed).randn(x.shape) * 0.05).astype(np.float32)
         plan = CalibPlan(method="apiq-lw", epochs=6, batch_size=2, seed=seed)
         y_full, y_q, rows = apiq_lw_layer(_linear("blocks.0.mlp.down", w), x, x_q,
                                           plan, spec, rank=rank, stream=RngState(seed))
         assert min(r.loss for r in rows) == self._frozen_loss(y_q, y_full)
 
-    @pytest.mark.parametrize("rank", [0, 4])
-    def test_bw_block(self, rank):
+    def _check_bw(self, rank, n_samples):
         model = TinyTransformer.init(CFG, seed=71)
-        x = (RngState(81).randn((4, 8, 32)) * 0.5).astype(np.float32)
+        x = (RngState(81).randn((n_samples, 8, 32)) * 0.5).astype(np.float32)
         x_q = x + (RngState(91).randn(x.shape) * 0.05).astype(np.float32)
         plan = CalibPlan(method="apiq-bw", epochs=3, batch_size=2, seed=1)
         y_full, y_q, rows = apiq_bw_block(
             model.blocks[0], x, x_q, plan, QuantSpec(bits=2, group=32), rank=rank,
             stream=RngState(1), cfg=CFG, unit="blocks.0")
         assert min(r.loss for r in rows) == self._frozen_loss(y_q, y_full)
+
+    @pytest.mark.parametrize("rank", [0, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lw_layer(self, rank, seed):
+        self._check_lw(rank, seed, n_samples=6)
+
+    @pytest.mark.parametrize("rank", [0, 4])
+    def test_bw_block(self, rank):
+        self._check_bw(rank, n_samples=4)
+
+    # the epoch-end loss runs per batch: 5 samples in batches of 2 end on one
+
+    @pytest.mark.parametrize("rank", [0, 4])
+    def test_lw_layer_ragged_batch(self, rank):
+        self._check_lw(rank, seed=0, n_samples=5)
+
+    @pytest.mark.parametrize("rank", [0, 4])
+    def test_bw_block_ragged_batch(self, rank):
+        self._check_bw(rank, n_samples=5)
 
 
 class TestQuantizeModel:

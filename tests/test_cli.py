@@ -186,6 +186,33 @@ class TestQuantize:
         assert main(["quantize", "--in", str(ws / "nope.ckpt"),
                      "--out", str(ws / "x.ckpt")]) == 3
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_exit_2(self, ws, pretrained, capsys, lr):
+        cfg = ws / "lr.cfg"
+        cfg.write_text(CONFIG_TEXT + f"calib.lr_lora = {lr}\n")
+        out = ws / "lr.ckpt"
+        assert main(["quantize", "--config", str(cfg), "--in", str(pretrained),
+                     "--method", "apiq-lw", "--corpus", str(ws / "corpus.txt"),
+                     "--out", str(out)]) == 2
+        assert "lr_lora" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["apiq-lw", "apiq-bw"])
+    def test_non_finite_epoch_end_loss_exit_4(self, ws, pretrained, capsys, method):
+        # one batch in all: the batch loss is finite, the epoch-end loss not
+        cfg = ws / "hot.cfg"
+        cfg.write_text(CONFIG_TEXT + "calib.lr_lora = 1e30\ncalib.epochs = 1\n"
+                       "calib.samples = 4\ncalib.batch = 4\n")
+        out = ws / f"hot_{method}.ckpt"
+        assert main(["quantize", "--config", str(cfg), "--in", str(pretrained),
+                     "--method", method, "--corpus", str(ws / "corpus.txt"),
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "non-finite loss at blocks.0" in err and "epoch 1" in err
+        assert not out.exists()
+        assert not (ws / f"{out.name}.calib.tsv").exists()
+
     def test_quantize_twice_exit_2(self, ws, quantized):
         assert main(["quantize", "--config", str(ws / "run.cfg"),
                      "--in", str(quantized), "--method", "rtn", "--bits", "2",
@@ -278,6 +305,30 @@ class TestEval:
         assert main(["eval", "--in", str(quantized),
                      "--corpus", str(ws / "corpus.txt"),
                      "--hist", "blocks.9.attn.q"]) == 3
+
+    @pytest.mark.parametrize("chunk_len", ["0", "1", "-5"])
+    def test_bad_chunk_len_flag_exit_2(self, ws, pretrained, capsys, chunk_len):
+        assert main(["eval", "--config", str(ws / "run.cfg"),
+                     "--in", str(pretrained), "--corpus", str(ws / "corpus.txt"),
+                     "--chunk-len", chunk_len]) == 2
+        assert "chunk_len" in capsys.readouterr().err
+
+    def test_bad_chunk_len_config_exit_2(self, ws, pretrained, capsys):
+        cfg = ws / "chunk.cfg"
+        cfg.write_text(CONFIG_TEXT + "eval.chunk_len = 1\n")
+        assert main(["eval", "--config", str(cfg), "--in", str(pretrained),
+                     "--corpus", str(ws / "corpus.txt")]) == 2
+        assert "chunk_len" in capsys.readouterr().err
+
+    def test_one_bin_exit_2_before_loading(self, ws, capsys):
+        # the checkpoint does not exist: the check comes before any load
+        assert main(["eval", "--in", str(ws / "nope.ckpt"),
+                     "--hist", "blocks.1.mlp.down", "--bins", "1"]) == 2
+        assert "--bins" in capsys.readouterr().err
+
+    def test_directory_input_exit_3(self, ws, capsys):
+        assert main(["eval", "--in", str(ws), "--corpus", str(ws / "corpus.txt")]) == 3
+        assert "cannot read checkpoint" in capsys.readouterr().err
 
     def test_quantized_codes_survive_cli_roundtrip(self, ws, quantized):
         model = model_io.load_model(quantized)

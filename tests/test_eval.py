@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from apiq.autodiff import log_softmax_nll
 from apiq.calib import CalibPlan, quantize_model, sample_calib
-from apiq.errors import InputError
+from apiq.errors import ConfigError, InputError
 from apiq.evals import (activation_error_profile, histogram_export,
                         histograms_to_tsv, perplexity, report_to_tsv,
                         weight_error_report)
 from apiq.model import ModelConfig, TinyTransformer
 from apiq.quant import QuantSpec
 from apiq.rng import RngState
+from apiq.runconfig import default_corpus_path, load_corpus
 
 CFG = ModelConfig(vocab=256, d_model=32, n_heads=4, d_ff=64, n_blocks=2, max_seq=64)
 
@@ -34,7 +38,6 @@ class TestPerplexity:
         m = TinyTransformer.init(CFG, seed=3)
         tokens = RngState(4).randint(0, 256, (70,))  # one 64-chunk + partial
         ppl = perplexity(m, tokens, 64)
-        from apiq.autodiff import log_softmax_nll
         chunk = tokens[:64][None, :]
         logits = m.forward(chunk).value.astype(np.float64)
         nll = log_softmax_nll(logits[0, :-1], chunk[0, 1:])
@@ -44,6 +47,51 @@ class TestPerplexity:
         m = TinyTransformer.init(CFG, seed=3)
         with pytest.raises(InputError):
             perplexity(m, np.zeros(10, dtype=np.int64), 64)
+
+    @pytest.mark.parametrize("chunk_len", [1, 0, -5])
+    def test_chunk_shorter_than_two_is_a_config_error(self, chunk_len):
+        m = TinyTransformer.init(CFG, seed=3)
+        with pytest.raises(ConfigError, match="chunk_len"):
+            perplexity(m, np.zeros(10, dtype=np.int64), chunk_len)
+
+    @pytest.mark.parametrize("chunk_len", [7, 32, 64, 100, 128])
+    def test_same_bits_as_whole_group_forwards(self, chunk_len):
+        """Small forwards give the repr of one forward per 64 chunks, on a
+        quantized model with adapters and a ragged last group."""
+        cfg = ModelConfig(vocab=256, d_model=32, n_heads=4, d_ff=64, n_blocks=2,
+                          max_seq=128)
+        corpus = RngState(40).randint(0, 256, (12_000,))
+        model, _ = quantize_model(TinyTransformer.init(cfg, seed=41),
+                                  sample_calib(corpus, 4, 32, seed=0),
+                                  CalibPlan(method="loftq", loftq_iters=1),
+                                  QuantSpec(bits=2, group=16), rank=4)
+        n_chunks = len(corpus) // chunk_len
+        assert n_chunks % 64
+        chunks = corpus[: n_chunks * chunk_len].reshape(n_chunks, chunk_len)
+        total, count = 0.0, 0
+        for lo in range(0, n_chunks, 64):
+            batch = chunks[lo: lo + 64]
+            logits = model.forward(batch).value[:, :-1].astype(np.float64)
+            tgt = batch[:, 1:].reshape(-1)
+            total += float(log_softmax_nll(logits.reshape(-1, 256), tgt).sum())
+            count += tgt.size
+        expected = float(np.exp(total / count))
+        assert repr(perplexity(model, corpus, chunk_len)) == repr(expected)
+
+    def test_default_config_peak_memory(self):
+        """One call at the default model and chunk length on the bundled
+        corpus stays in small buffers (one forward of all 64 chunks of a
+        group peaked at about 50 MB)."""
+        model = TinyTransformer.init(ModelConfig(), seed=0)
+        corpus = load_corpus(default_corpus_path())
+        perplexity(model, corpus[:4096], 128)  # warm the per-length caches
+        tracemalloc.start()
+        try:
+            perplexity(model, corpus, 128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
     def test_ppl_at_least_one(self):
         m = TinyTransformer.init(CFG, seed=5)
