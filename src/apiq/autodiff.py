@@ -10,6 +10,11 @@ the identity. For finite-difference verification the `surrogate_round`
 context makes its *forward* the identity too, which turns any expression
 containing it into the smooth surrogate that the STE gradient is the exact
 gradient of.
+
+`causal_attention` is attention as one op with one tape entry. Up to
+ATTN_BLOCK_MAX_T positions it runs per block of query rows, taped or not,
+with the bits of the one-block computation: masked blocks cost nothing,
+and the backward keeps only each block's probabilities.
 """
 
 from __future__ import annotations
@@ -386,33 +391,35 @@ def rope_rotate(a, cos: np.ndarray, sin: np.ndarray) -> Var:
     return _record("rope_rotate", out, (a,), back)
 
 
-# Untaped attention of at most ATTN_BLOCK_MAX_T positions runs per block of
-# ATTN_BLOCK query rows. Bits equal the full path's because every key prefix
-# but the last is a multiple of 8 and at most 128 long, which numpy sums in
-# the order of the zero-tailed full row, and no block has a single row (a
-# one-row product takes another BLAS kernel).
+# Attention of at most ATTN_BLOCK_MAX_T positions runs per block of
+# ATTN_BLOCK query rows, with and without a tape. Bits equal the one-block
+# (full) path's because every key prefix but the last is a multiple of 8 and
+# at most 128 long, which numpy sums in the order of the zero-tailed full
+# row, and no block has a single row (a one-row product takes another BLAS
+# kernel). Longer sequences are one block.
 ATTN_BLOCK = 32
 ATTN_BLOCK_MAX_T = 128
 
 
-def _blocked_attention(qr: np.ndarray, kr: np.ndarray, vh: np.ndarray,
-                       c: float) -> np.ndarray:
-    """softmax(qr kr^T * c, causal) vh of rotated (n, h, t, hd) heads,
-    merged to (n, t, h * hd), for query rows [i0, i1) over the keys [0, i1)
-    one block at a time, so fully masked blocks are never computed."""
-    n, h, t, hd = qr.shape
-    out = np.empty((n, t, h, hd), dtype=np.result_type(qr, vh))
-    heads_out = out.transpose(0, 2, 1, 3)
+def _attention_blocks(t: int) -> list[tuple[int, int]]:
+    """Query row ranges [i0, i1) of a length-t sequence; a one-row tail
+    joins the block before it."""
+    if t > ATTN_BLOCK_MAX_T:
+        return [(0, t)]
     ends = list(range(ATTN_BLOCK, t, ATTN_BLOCK)) + [t]
     if len(ends) > 1 and ends[-1] - ends[-2] == 1:
         del ends[-2]
-    i0 = 0
-    for i1 in ends:
-        s = qr[:, :, i0:i1] @ np.swapaxes(kr[:, :, :i1], -1, -2)
-        s *= c
-        heads_out[:, :, i0:i1] = _causal_softmax_(s) @ vh[:, :, :i1]
-        i0 = i1
-    return out.reshape(n, t, h * hd)
+    return list(zip([0] + ends[:-1], ends))
+
+
+def _key_slab(blocks: list[np.ndarray], b: int, j0: int, j1: int) -> np.ndarray:
+    """Columns [j0, j1) of the per-block (n, h, r, i1) arrays from block b
+    on: query rows [j0, t) as one contiguous operand, so a contraction over
+    them is a single product, as in the one-block path."""
+    parts = [blk[..., j0:j1] for blk in blocks[b:]]
+    if len(parts) == 1:
+        return np.ascontiguousarray(parts[0])
+    return np.concatenate(parts, axis=-2)
 
 
 def causal_attention(q, k, v, n_heads: int, cos: np.ndarray,
@@ -422,16 +429,18 @@ def causal_attention(q, k, v, n_heads: int, cos: np.ndarray,
     q, k, v are (n, t, d); each is split into `n_heads` heads of size
     hd = d / n_heads, q and k are rotated by cos/sin (t, hd/2), and the
     result softmax(q k^T / sqrt(hd), causal) v is merged back to (n, t, d).
-    The numpy operations and operand layouts are those of the equivalent
-    chain of reshape/transpose/rope_rotate/matmul/scale/causal_softmax
-    primitives, so values and gradients are bitwise the same; of the
-    (t, t) score arrays only the softmax output is kept for the backward.
 
-    When nothing will be differentiated and t <= ATTN_BLOCK_MAX_T, the same
-    operations run per block of query rows over the keys it may see (see
-    `_blocked_attention`), with the full path's output bits. A non-finite
-    value in v then reaches no row of an earlier block, where the full
-    path spreads it to every earlier row through 0 * nan.
+    For t <= ATTN_BLOCK_MAX_T the scores, softmax and p @ v run per block
+    of query rows [i0, i1) over the keys [0, i1) it may see, so fully
+    masked blocks are never computed; under a tape each block keeps its
+    probabilities (n, h, i1 - i0, i1) for the backward. The backward takes
+    dp, the softmax backward and dq per query block, and dv and dk per key
+    block [j0, j1) as one product over the query rows [j0, t). The numpy
+    operations and operand layouts are those of the equivalent chain of
+    reshape/transpose/rope_rotate/matmul/scale/causal_softmax primitives,
+    so values and gradients are bitwise the same. A non-finite value in v
+    reaches no row of an earlier block, where the chain spreads it to
+    every earlier row through 0 * nan.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     shape = q.value.shape
@@ -452,30 +461,55 @@ def causal_attention(q, k, v, n_heads: int, cos: np.ndarray,
     def merge(x):
         return x.transpose(0, 2, 1, 3).reshape(n, t, d)
 
+    def merged(dtype):
+        """An (n, t, d) buffer and its (n, h, t, hd) heads view."""
+        buf = np.empty((n, t, d), dtype=dtype)
+        return buf, heads(buf)
+
     qr = _rope(heads(q.value), cos, sin)
     kr = _rope(heads(k.value), cos, sin)
     vh = heads(v.value)
     taped = _active_tape is not None and any(x.requires_grad for x in (q, k, v))
-    if not taped and t <= ATTN_BLOCK_MAX_T:
-        return Var(_blocked_attention(qr, kr, vh, c))
-    s = qr @ np.swapaxes(kr, -1, -2)
-    s *= c
-    p = _causal_softmax_(s)
-    out = Var(merge(p @ vh))
+    blocks = _attention_blocks(t)
+    probs = []
+    out, out_h = merged(np.result_type(qr, kr, vh))
+    for i0, i1 in blocks:
+        s = qr[:, :, i0:i1] @ np.swapaxes(kr[:, :, :i1], -1, -2)
+        s *= c
+        p = _causal_softmax_(s)
+        out_h[:, :, i0:i1] = p @ vh[:, :, :i1]
+        if taped:
+            probs.append(p)
+    out = Var(out)
 
     def back():
         g = heads(out.grad)
         if v.requires_grad:
-            v.accum(merge(np.swapaxes(p, -1, -2) @ g))
-        if q.requires_grad or k.requires_grad:
-            dp = g @ np.swapaxes(vh, -1, -2)
-            ds = _softmax_back(dp, p, out=dp)
-            ds *= c
-            if k.requires_grad:
-                k.accum(merge(_rope_back(np.swapaxes(np.swapaxes(qr, -1, -2) @ ds,
-                                                     -1, -2), cos, sin)))
-            if q.requires_grad:
-                q.accum(merge(_rope_back(ds @ kr, cos, sin)))
+            dv, dv_h = merged(np.result_type(probs[0], g))
+            for b, (j0, j1) in enumerate(blocks):
+                dv_h[:, :, j0:j1] = (np.swapaxes(_key_slab(probs, b, j0, j1), -1, -2)
+                                     @ g[:, :, j0:])
+            v.accum(dv)
+        if not (q.requires_grad or k.requires_grad):
+            return
+        ds = []
+        for (i0, i1), p in zip(blocks, probs):
+            dp = g[:, :, i0:i1] @ np.swapaxes(vh[:, :, :i1], -1, -2)
+            _softmax_back(dp, p, out=dp)
+            dp *= c
+            ds.append(dp)
+        if k.requires_grad:
+            dk, dk_h = merged(np.result_type(qr, ds[0]))
+            for b, (j0, j1) in enumerate(blocks):
+                dk_h[:, :, j0:j1] = np.swapaxes(
+                    np.swapaxes(qr[:, :, j0:], -1, -2) @ _key_slab(ds, b, j0, j1),
+                    -1, -2)
+            k.accum(merge(_rope_back(dk_h, cos, sin)))
+        if q.requires_grad:
+            dq, dq_h = merged(np.result_type(ds[0], kr))
+            for (i0, i1), dsb in zip(blocks, ds):
+                dq_h[:, :, i0:i1] = dsb @ kr[:, :, :i1]
+            q.accum(merge(_rope_back(dq_h, cos, sin)))
 
     return _record("causal_attention", out, (q, k, v), back)
 

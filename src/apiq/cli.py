@@ -9,7 +9,9 @@ checkpoints, logs are written to "<path>.tmp" and renamed into place.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -30,6 +32,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,6 +86,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_memory() -> None:
+    """Fix glibc's trim and mmap thresholds (64 MB, 32 MB) so that the
+    megabytes each training step frees are reused by the next step, not
+    returned to the system and faulted back in (a 200-step pretrain took
+    503k minor page faults). Set at the entry point, not on import, so a
+    program that only imports the library keeps its allocator settings."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
+def _check_out(path: str) -> None:
+    """Reject an --out that is a directory before any work is done."""
+    if os.path.isdir(path):
+        raise ConfigError(f"--out {path} is a directory")
+
+
 def _corpus_tokens(path: str | None) -> np.ndarray:
     return load_corpus(path if path is not None else default_corpus_path())
 
@@ -90,6 +117,7 @@ def _model_config(cfg: dict) -> ModelConfig:
 
 
 def cmd_pretrain(args) -> int:
+    _check_out(args.out)
     cfg = load_config(args.config)
     corpus = _corpus_tokens(args.corpus)
     model = TinyTransformer.init(_model_config(cfg), seed=cfg["seed"])
@@ -108,6 +136,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_quantize(args) -> int:
+    _check_out(args.out)
     cfg = load_config(args.config)
     if args.method is not None:
         cfg["calib.method"] = args.method
@@ -140,6 +169,7 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_finetune(args) -> int:
+    _check_out(args.out)
     cfg = load_config(args.config)
     if args.lora_position is not None:
         cfg["finetune.lora_position"] = args.lora_position
@@ -205,6 +235,7 @@ def cmd_eval(args) -> int:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -17,7 +17,9 @@ reload of the same checkpoint.
 
 The forward pass is written in autodiff ops; with no active tape it is a
 plain numpy computation. Attention (head split, rotary positions, causal
-softmax, merge) is one op, `ad.causal_attention`, with one tape entry.
+softmax, merge) is one op, `ad.causal_attention`, with one tape entry; it
+runs per block of query rows over the keys each block may see, with or
+without a tape.
 `trainable` maps tensor names to Vars so callers choose which parameters
 receive gradients (all of them for pretraining, adapters only for
 finetuning).

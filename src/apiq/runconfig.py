@@ -25,6 +25,19 @@ _CHOICES = {
     "finetune.schedule": ("static", "cosine"),
 }
 
+# key -> smallest valid value; a count or length below it fails deep in
+# numpy, so it is rejected when the config loads
+_MINIMUM = {
+    "calib.batch": 1,
+    "calib.samples": 1,
+    "calib.seq_len": 1,
+    "pretrain.batch": 1,
+    "pretrain.seq_len": 1,
+    "finetune.batch": 1,
+    "finetune.seq_len": 1,
+    "eval.chunk_len": 2,
+}
+
 # key -> (type, default); the model.* keys are the ModelConfig fields
 SCHEMA: dict[str, tuple[type, object]] = {
     "seed": (int, 0),
@@ -74,6 +87,8 @@ def _convert(key: str, raw: str):
     if key in _CHOICES and value not in _CHOICES[key]:
         raise ConfigError(
             f"{key} must be one of {', '.join(_CHOICES[key])}, got {value!r}")
+    if key in _MINIMUM and value < _MINIMUM[key]:
+        raise ConfigError(f"{key} must be >= {_MINIMUM[key]}, got {value!r}")
     return value
 
 

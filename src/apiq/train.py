@@ -48,8 +48,7 @@ def pretrain(model: TinyTransformer, corpus: np.ndarray, steps: int,
     for step in range(steps):
         starts = rng.randint(0, len(corpus) - seq_len - 1 + 1, (batch,))
         window = np.stack([corpus[s: s + seq_len + 1] for s in starts])
-        loss, held = _step(model, opt, params, window,
-                           f"pretraining loss at step {step}")
+        loss = _step(model, opt, params, window, f"pretraining loss at step {step}")
         rows.append(TrainLogRow(epoch=0, step=step, loss=loss))
     return rows
 
@@ -94,9 +93,9 @@ def finetune(model: TinyTransformer, corpus: np.ndarray, eval_corpus: np.ndarray
             idx = order[lo: lo + batch]
             window = np.stack([corpus[i * seq_len: i * seq_len + seq_len + 1]
                                for i in idx])
-            loss, held = _step(model, opt, params, window,
-                               f"finetuning loss at epoch {epoch}, step {step}",
-                               _lr_factor(schedule, step, total_steps, warm_steps))
+            loss = _step(model, opt, params, window,
+                         f"finetuning loss at epoch {epoch}, step {step}",
+                         _lr_factor(schedule, step, total_steps, warm_steps))
             rows.append(TrainLogRow(epoch=epoch, step=step, loss=loss))
             step += 1
         ppl = perplexity(model, eval_corpus, chunk_len)
@@ -108,14 +107,13 @@ def finetune(model: TinyTransformer, corpus: np.ndarray, eval_corpus: np.ndarray
 
 def _step(model: TinyTransformer, opt: AdamW, params: dict[str, np.ndarray],
           window: np.ndarray, what: str,
-          lr_scale: float = 1.0) -> tuple[float, ad.Var]:
+          lr_scale: float = 1.0) -> float:
     """One AdamW step on next-token cross-entropy over `params`; returns the
-    loss and the logits. A non-finite loss raises NumericError naming `what`.
+    loss. A non-finite loss raises NumericError naming `what`.
 
-    Callers hold the logits until the next step returns. Freeing every
-    buffer of a step at once lets malloc trim the heap and fault it back
-    in on the next step (at the default config, 2.3x the minor page
-    faults and about 20 % slower pretraining).
+    A step allocates and frees about 10 MB of buffers; `cli.main` keeps
+    freed heap memory in the process, so the next step reuses it instead
+    of faulting it back in.
     """
     trainable = {n: ad.param(a) for n, a in params.items()}
     with ad.Tape() as tape:
@@ -125,7 +123,7 @@ def _step(model: TinyTransformer, opt: AdamW, params: dict[str, np.ndarray],
         raise NumericError(f"non-finite {what}")
     ad.backward(tape, loss)
     opt.step([[v.grad for v in trainable.values()]], lr_scale=lr_scale)
-    return float(loss.value), logits
+    return float(loss.value)
 
 
 def _lr_factor(schedule: str, step: int, total: int, warm: int) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,7 +116,7 @@ def test_gradcheck_rope(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS[:5])
-@pytest.mark.parametrize("t", [1, 5])
+@pytest.mark.parametrize("t", [1, 5, 34, 65])  # 34 and 65 span query blocks
 def test_gradcheck_causal_attention(seed, t):
     r = RngState(seed)
     q, k, v = (ad.Var(r.randn((2, t, 8))) for _ in range(3))  # 2 heads of 4
@@ -212,13 +213,63 @@ def test_causal_attention_bitwise_equals_chain_f32(n, t, d, n_heads, trained):
             assert g[i] is None and g_ref[i] is None
 
 
+TRAINED_SUBSETS = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+# one-row tails (33, 65, 97), the longest blocked length (128) and lengths
+# past it (129, 130, 200, 256)
+ATTENTION_LENGTHS = list(range(1, 131)) + [200, 256]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("trained", TRAINED_SUBSETS)
+def test_causal_attention_bitwise_equals_chain_every_length(dtype, trained):
+    """The per-block forward and backward give the chain's output and
+    gradient bytes at every length, whichever inputs are trained."""
+    n, d, n_heads = 2, 32, 2
+    for t in ATTENTION_LENGTHS:
+        r = RngState(t)
+        arrays = [r.randn((n, t, d)).astype(dtype) for _ in range(3)]
+        ang = r.uniform((t, d // n_heads // 2), 0, 6.28)
+        cos, sin = np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+        target = r.randn((n, t, d)).astype(dtype)
+        y_ref, g_ref, _ = _attention_run(_attention_chain, arrays, trained, n_heads,
+                                         cos, sin, target)
+        y, g, _ = _attention_run(ad.causal_attention, arrays, trained, n_heads,
+                                 cos, sin, target)
+        assert y.dtype == dtype and y.tobytes() == y_ref.tobytes(), t
+        for i in range(3):
+            if i in trained:
+                assert g[i].dtype == dtype, (t, i)
+                assert g[i].tobytes() == g_ref[i].tobytes(), (t, i)
+            else:
+                assert g[i] is None and g_ref[i] is None
+
+
+def test_causal_attention_taped_peak_memory():
+    """Under a tape only the per-block probabilities are kept: a forward
+    plus backward at (8, 128, 64, 4) in f32 peaks below 6.5 MB (the full
+    (n, h, t, t) score and probability arrays peaked at 7.9 MB)."""
+    n, t, d, n_heads = 8, 128, 64, 4
+    r = RngState(7)
+    arrays = [r.randn((n, t, d)).astype(np.float32) for _ in range(3)]
+    ang = r.uniform((t, d // n_heads // 2), 0, 6.28)
+    cos, sin = np.cos(ang).astype(np.float32), np.sin(ang).astype(np.float32)
+    target = r.randn((n, t, d)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        _attention_run(ad.causal_attention, arrays, (0, 1, 2), n_heads, cos, sin,
+                       target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5e6, peak
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n,d,n_heads", [(1, 16, 1), (3, 32, 2), (2, 64, 4)])
 def test_untaped_causal_attention_bitwise_equals_taped(dtype, n, d, n_heads):
-    """The blocked path taken when nothing is differentiated gives the
-    taped op's bytes at every length: one-row tails (33, 65, 97), the
-    longest blocked length (128) and lengths past it (129, 130, 200, 256)."""
-    for t in list(range(1, 131)) + [200, 256]:
+    """Calls that keep nothing for a backward (no tape, or no input that
+    requires a gradient) give the taped op's bytes at every length."""
+    for t in ATTENTION_LENGTHS:
         r = RngState(1000 + t)
         q, k, v = (r.randn((n, t, d)).astype(dtype) for _ in range(3))
         ang = r.uniform((t, d // n_heads // 2), 0, 6.28)

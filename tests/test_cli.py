@@ -1,3 +1,6 @@
+import ctypes
+import resource
+
 import numpy as np
 import pytest
 
@@ -118,6 +121,20 @@ class TestPretrain:
         code = main(["pretrain", "--config", str(ws / "run.cfg"),
                      "--corpus", str(tiny), "--out", str(ws / "x.ckpt")])
         assert code == 3
+
+    @pytest.mark.skipif(getattr(ctypes.CDLL(None), "mallopt", None) is None,
+                        reason="libc has no mallopt")
+    def test_second_run_reuses_freed_memory(self, ws):
+        # the default model and batch: each step frees about 10 MB
+        cfg = ws / "twenty.cfg"
+        cfg.write_text("seed = 5\npretrain.steps = 20\n")
+        argv = ["pretrain", "--config", str(cfg), "--corpus", str(ws / "corpus.txt"),
+                "--out", str(ws / "twenty.ckpt")]
+        assert main(argv) == 0
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert main(argv) == 0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 2000, faults
 
 
 class TestQuantize:
@@ -336,6 +353,46 @@ class TestEval:
         lay = model.blocks[0].layers["q"]
         assert np.array_equal(unpack(lay.qstate.codes),
                               unpack(entries["blocks.0.attn.q.qcodes"]))
+
+
+def _stage_argv(command, cfg, ws, out, pretrained, quantized):
+    """`pretrain`, `quantize` (of the base model) or `finetune` (of the
+    quantized one) with `cfg`, writing `out`."""
+    argv = [command, "--config", str(cfg), "--corpus", str(ws / "corpus.txt"),
+            "--out", str(out)]
+    if command != "pretrain":
+        argv += ["--in", str(pretrained if command == "quantize" else quantized)]
+    return argv
+
+
+@pytest.mark.parametrize("key,value,command", [
+    ("calib.batch", 0, "quantize"),
+    ("calib.samples", 0, "quantize"),
+    ("calib.seq_len", 0, "quantize"),
+    ("pretrain.batch", 0, "pretrain"),
+    ("pretrain.seq_len", 0, "pretrain"),
+    ("finetune.batch", 0, "finetune"),
+    ("finetune.seq_len", 0, "finetune"),
+    ("eval.chunk_len", 1, "pretrain"),
+])
+def test_out_of_range_count_exit_2_before_work(ws, pretrained, quantized, capsys,
+                                               key, value, command):
+    cfg = ws / "range.cfg"
+    cfg.write_text(CONFIG_TEXT + f"{key} = {value}\n")
+    out = ws / "range.ckpt"
+    assert main(_stage_argv(command, cfg, ws, out, pretrained, quantized)) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "quantize", "finetune"])
+def test_directory_out_exit_2_before_work(ws, pretrained, quantized, capsys, command):
+    out = ws / "out_dir"
+    out.mkdir(exist_ok=True)
+    assert main(_stage_argv(command, ws / "run.cfg", ws, out, pretrained,
+                            quantized)) == 2
+    assert "--out" in capsys.readouterr().err
+    assert list(ws.glob("out_dir.*")) == []
 
 
 def _tampered(src, dst, name, edit):
