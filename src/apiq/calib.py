@@ -47,7 +47,7 @@ METHODS = ("apiq-lw", "apiq-bw", "loftq", "rtn", "qlora")
 class CalibPlan:
     method: str = "apiq-bw"
     epochs: int = 20
-    batch_size: int = 4
+    batch: int = 4
     lr_theta: float = 0.005
     lr_lora: float = 0.001
     weight_decay: float = 0.1
@@ -238,8 +238,7 @@ def _calibrate(states: list[_TrainableQuant], forward, x_q: np.ndarray,
               for ps, lr in ((lora, plan.lr_lora), (theta, plan.lr_theta)) if ps]
     opt = AdamW(groups)
     params = lora + theta
-    batches = [slice(lo, lo + plan.batch_size)
-               for lo in range(0, len(x_q), plan.batch_size)]
+    batches = [slice(lo, lo + plan.batch) for lo in range(0, len(x_q), plan.batch)]
     diff = np.empty(y_full.shape, dtype=np.float64)
 
     def effective(leaf) -> tuple[list[ad.Var], dict[int, ad.Var]]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import dataclasses
 import os
 import sys
 
@@ -26,7 +25,7 @@ from .evals import (activation_error_profile, histogram_export,
 from .model import ModelConfig, TinyTransformer
 from .quant import QuantSpec
 from .runconfig import (canonical_config, default_corpus_path, load_config,
-                        load_corpus)
+                        load_corpus, section)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,10 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("quantize", help="quantize a pretrained checkpoint")
     q.add_argument("--config", default=None)
     q.add_argument("--in", dest="input", required=True)
-    q.add_argument("--method", default=None,
-                   choices=["apiq-lw", "apiq-bw", "loftq", "rtn", "qlora"])
-    q.add_argument("--bits", type=int, default=None, choices=[2, 3, 4, 8])
-    q.add_argument("--rank", type=int, default=None)
+    q.add_argument("--method", dest="calib.method")
+    q.add_argument("--bits", dest="quant.bits")
+    q.add_argument("--rank", dest="quant.rank")
     q.add_argument("--corpus", default=None,
                    help="calibration corpus (default: bundled)")
     q.add_argument("--out", required=True)
@@ -66,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--config", default=None)
     f.add_argument("--in", dest="input", required=True)
     f.add_argument("--corpus", default=None)
-    f.add_argument("--lora-position", default=None, choices=["all", "attn", "ffn"])
+    f.add_argument("--lora-position", dest="finetune.lora_position")
     f.add_argument("--out", required=True)
     f.set_defaults(func=cmd_finetune)
 
@@ -74,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--config", default=None)
     e.add_argument("--in", dest="input", required=True)
     e.add_argument("--corpus", default=None)
-    e.add_argument("--chunk-len", type=int, default=None)
+    e.add_argument("--chunk-len", dest="eval.chunk_len")
     e.add_argument("--profile-against", default=None,
                    help="full-precision checkpoint for error profiles")
     e.add_argument("--hist", default=None, metavar="LAYER",
@@ -111,21 +109,31 @@ def _corpus_tokens(path: str | None) -> np.ndarray:
     return load_corpus(path if path is not None else default_corpus_path())
 
 
-def _model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(**{f.name: cfg[f"model.{f.name}"]
-                          for f in dataclasses.fields(ModelConfig)})
+def _config(args) -> dict:
+    """The --config file, then every flag whose dest is a config key."""
+    return load_config(args.config, {key: value for key, value in vars(args).items()
+                                     if "." in key and value is not None})
 
 
-def cmd_pretrain(args) -> int:
+def _check_lengths(cfg: dict, max_seq: int, *keys: str) -> None:
+    """Reject a sequence length longer than the model takes before any work."""
+    for key in keys:
+        if cfg[key] > max_seq:
+            raise ConfigError(f"{key} {cfg[key]} exceeds the model's max_seq {max_seq}")
+
+
+def _calib_set(cfg: dict, corpus: np.ndarray):
+    return sample_calib(corpus, cfg["calib.samples"], cfg["calib.seq_len"],
+                        seed=cfg["seed"])
+
+
+def cmd_pretrain(args, cfg: dict) -> int:
     _check_out(args.out)
-    cfg = load_config(args.config)
+    model_cfg = section(cfg, "model", ModelConfig)
+    _check_lengths(cfg, model_cfg.max_seq, "pretrain.seq_len", "eval.chunk_len")
     corpus = _corpus_tokens(args.corpus)
-    model = TinyTransformer.init(_model_config(cfg), seed=cfg["seed"])
-    rows = train.pretrain(model, corpus, steps=cfg["pretrain.steps"],
-                          lr=cfg["pretrain.lr"], batch=cfg["pretrain.batch"],
-                          seq_len=cfg["pretrain.seq_len"],
-                          weight_decay=cfg["pretrain.weight_decay"],
-                          seed=cfg["seed"])
+    model = TinyTransformer.init(model_cfg, seed=cfg["seed"])
+    rows = train.pretrain(model, corpus, **section(cfg, "pretrain"))
     model_io.save_model(model, args.out)
     with atomic_open(f"{args.out}.train.tsv", "w", encoding="utf-8") as fh:
         write_tsv(fh, ["step", "loss"], [(r.step, r.loss) for r in rows],
@@ -135,30 +143,13 @@ def cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
-def cmd_quantize(args) -> int:
+def cmd_quantize(args, cfg: dict) -> int:
     _check_out(args.out)
-    cfg = load_config(args.config)
-    if args.method is not None:
-        cfg["calib.method"] = args.method
-    if args.bits is not None:
-        cfg["quant.bits"] = args.bits
-    if args.rank is not None:
-        cfg["quant.rank"] = args.rank
-    if cfg["quant.rank"] < 0:
-        raise ConfigError("rank must be >= 0")
-
+    spec = section(cfg, "quant", QuantSpec)
+    plan = section(cfg, "calib", CalibPlan)
     model = model_io.load_model(args.input)
-    spec = QuantSpec(bits=cfg["quant.bits"], group=cfg["quant.group"],
-                     clip_granularity=cfg["quant.clip_granularity"])
-    plan = CalibPlan(method=cfg["calib.method"], epochs=cfg["calib.epochs"],
-                     batch_size=cfg["calib.batch"], lr_theta=cfg["calib.lr_theta"],
-                     lr_lora=cfg["calib.lr_lora"],
-                     weight_decay=cfg["calib.weight_decay"],
-                     loftq_iters=cfg["calib.loftq_iters"], seed=cfg["seed"],
-                     clip_init=cfg["calib.clip_init"])
-    corpus = _corpus_tokens(args.corpus)
-    calib = sample_calib(corpus, cfg["calib.samples"], cfg["calib.seq_len"],
-                         seed=cfg["seed"])
+    _check_lengths(cfg, model.config.max_seq, "calib.seq_len")
+    calib = _calib_set(cfg, _corpus_tokens(args.corpus))
     qmodel, rows = quantize_model(model, calib, plan, spec, rank=cfg["quant.rank"])
     model_io.save_model(qmodel, args.out)
     with atomic_open(f"{args.out}.calib.tsv", "w", encoding="utf-8") as fh:
@@ -168,25 +159,16 @@ def cmd_quantize(args) -> int:
     return EXIT_OK
 
 
-def cmd_finetune(args) -> int:
+def cmd_finetune(args, cfg: dict) -> int:
     _check_out(args.out)
-    cfg = load_config(args.config)
-    if args.lora_position is not None:
-        cfg["finetune.lora_position"] = args.lora_position
     model = model_io.load_model(args.input)
+    _check_lengths(cfg, model.config.max_seq, "finetune.seq_len", "eval.chunk_len")
     corpus = _corpus_tokens(args.corpus)
 
     def on_epoch(epoch: int, ppl: float):
         print(f"epoch\t{epoch}\tppl\t{ppl!r}")
 
-    rows = train.finetune(model, corpus, corpus,
-                          epochs=cfg["finetune.epochs"], lr=cfg["finetune.lr"],
-                          batch=cfg["finetune.batch"],
-                          seq_len=cfg["finetune.seq_len"],
-                          weight_decay=cfg["finetune.weight_decay"],
-                          position=cfg["finetune.lora_position"],
-                          schedule=cfg["finetune.schedule"],
-                          warmup=cfg["finetune.warmup"], seed=cfg["seed"],
+    rows = train.finetune(model, corpus, corpus, **section(cfg, "finetune"),
                           chunk_len=cfg["eval.chunk_len"], on_epoch=on_epoch)
     model_io.save_model(model, args.out)
     with atomic_open(f"{args.out}.finetune.tsv", "w", encoding="utf-8") as fh:
@@ -197,30 +179,28 @@ def cmd_finetune(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    cfg = load_config(args.config)
-    if args.chunk_len is not None:
-        cfg["eval.chunk_len"] = args.chunk_len
+def cmd_eval(args, cfg: dict) -> int:
     if args.bins < 2:
         raise ConfigError(f"--bins must be >= 2, got {args.bins}")
     model = model_io.load_model(args.input)
+    layer = None if args.hist is None else model.find_layer(args.hist)
+    _check_lengths(cfg, model.config.max_seq, "eval.chunk_len")
     corpus = _corpus_tokens(args.corpus)
     prefix = args.report_prefix if args.report_prefix is not None else args.input
     config_line = canonical_config(cfg)
 
     if args.profile_against is not None:
         full = model_io.load_model(args.profile_against)
-        calib = sample_calib(corpus, cfg["calib.samples"], cfg["calib.seq_len"],
-                             seed=cfg["seed"])
-        act = activation_error_profile(full, model, calib.tokens)
+        _check_lengths(cfg, min(model.config.max_seq, full.config.max_seq),
+                       "calib.seq_len")
+        act = activation_error_profile(full, model, _calib_set(cfg, corpus).tokens)
         with atomic_open(f"{prefix}.act.tsv", "w", encoding="utf-8") as fh:
             fh.write(report_to_tsv(act, config_line))
         wer = weight_error_report(full, model)
         with atomic_open(f"{prefix}.weight.tsv", "w", encoding="utf-8") as fh:
             fh.write(report_to_tsv(wer, config_line))
 
-    if args.hist is not None:
-        layer = model.find_layer(args.hist)
+    if layer is not None:
         ref = None
         if args.profile_against is not None:
             ref_layer = model_io.load_model(args.profile_against).find_layer(args.hist)
@@ -236,10 +216,9 @@ def cmd_eval(args) -> int:
 
 def main(argv=None) -> int:
     _keep_freed_memory()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

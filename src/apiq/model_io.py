@@ -17,7 +17,7 @@ import numpy as np
 from .checkpoint import Entry, load_tensors, save_tensors
 from .errors import ConfigError, FormatError
 from .model import Linear, LoraPair, ModelConfig, QuantState, TinyTransformer
-from .quant import ClipParams, GroupParams, PackedCodes, QuantSpec
+from .quant import GRANULARITIES, ClipParams, GroupParams, PackedCodes, QuantSpec
 
 
 def model_entries(model: TinyTransformer) -> list[Entry]:
@@ -33,7 +33,7 @@ def model_entries(model: TinyTransformer) -> list[Entry]:
         if len(alphas) > 1:
             raise ValueError("mixed adapter alphas are not persistable")
         alpha = alphas.pop() if alphas else -1.0
-        gran = 1.0 if spec.clip_granularity == "per-group" else 0.0
+        gran = GRANULARITIES.index(spec.clip_granularity)
         entries.append(("quant.meta", np.array(
             [spec.bits, spec.group, gran, alpha], dtype=np.float64)))
 
@@ -75,21 +75,21 @@ def load_model(path) -> TinyTransformer:
     fields = dataclasses.fields(ModelConfig)
     c = _header(tensors, "config", len(fields))
     m = _header(tensors, "quant.meta", 4) if "quant.meta" in tensors else None
-    values = {}
-    for f, v in zip(fields, c.tolist()):
-        if isinstance(f.default, int):
-            if not v.is_integer():
-                raise FormatError(f"header {f.name} {v!r} is not an integer")
-            v = int(v)
-        values[f.name] = v
+    values = {f.name: _integral("header", f.name, v) if isinstance(f.default, int) else v
+              for f, v in zip(fields, c.tolist())}
+    spec = None
+    alpha = -1.0
     try:
         cfg = ModelConfig(**values)
-        spec = None
-        alpha = -1.0
         if m is not None:
-            spec = QuantSpec(bits=int(m[0]), group=int(m[1]),
-                             clip_granularity="per-group" if m[2] else "per-matrix")
-            alpha = float(m[3])
+            bits, group, gran, alpha = m.tolist()
+            if gran not in (0.0, 1.0):
+                raise FormatError(f"quant.meta granularity flag {gran!r} is not 0 or 1")
+            if not (alpha == -1.0 or alpha > 0):
+                raise FormatError(f"quant.meta alpha {alpha!r} is neither -1 nor > 0")
+            spec = QuantSpec(bits=_integral("quant.meta", "bits", bits),
+                             group=_integral("quant.meta", "group", group),
+                             clip_granularity=GRANULARITIES[int(gran)])
     except ConfigError as exc:
         raise FormatError(f"checkpoint header is invalid: {exc}") from exc
 
@@ -101,6 +101,12 @@ def load_model(path) -> TinyTransformer:
         else:
             setattr(owner, attr, _req(tensors, name, getattr(owner, attr).shape))
     return model
+
+
+def _integral(header: str, name: str, v: float) -> int:
+    if not v.is_integer():
+        raise FormatError(f"{header} {name} {v!r} is not an integer")
+    return int(v)
 
 
 def _header(tensors: dict, name: str, size: int) -> np.ndarray:

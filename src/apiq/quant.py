@@ -30,6 +30,9 @@ from .errors import ConfigError, FormatError
 from .linalg import group_minmax
 
 SCALE_FLOOR = 1e-8
+BITS = (2, 3, 4, 8)
+# a checkpoint stores the granularity as its index here (quant.meta)
+GRANULARITIES = ("per-matrix", "per-group")
 
 
 @dataclass(frozen=True)
@@ -39,11 +42,11 @@ class QuantSpec:
     clip_granularity: str = "per-matrix"
 
     def __post_init__(self):
-        if self.bits not in (2, 3, 4, 8):
+        if self.bits not in BITS:
             raise ConfigError(f"unsupported bit width {self.bits}")
         if self.group < 1:
             raise ConfigError(f"group size must be positive, got {self.group}")
-        if self.clip_granularity not in ("per-matrix", "per-group"):
+        if self.clip_granularity not in GRANULARITIES:
             raise ConfigError(f"bad clip granularity {self.clip_granularity!r}")
 
     @property

@@ -2,8 +2,9 @@
 
 Config files are UTF-8 text, one `key = value` per line, `#` starts a
 comment. Keys are dotted and validated against the schema below; unknown
-keys are rejected so typos fail loudly. Every command echoes its fully
-resolved configuration as the first line of its TSV log.
+keys are rejected so typos fail loudly. A command-line flag overrides one
+key and is checked as its line in the file would be. Every command echoes
+its fully resolved configuration as the first line of its TSV log.
 
 The corpus is any UTF-8 file; tokenization is the identity on bytes
 (vocab 256) and documents may be separated by the 0x00 byte.
@@ -12,22 +13,28 @@ The corpus is any UTF-8 file; tokenization is the identity on bytes
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
+from .calib import METHODS, CalibPlan
 from .errors import ConfigError, InputError
 from .model import ModelConfig
+from .quant import BITS, GRANULARITIES, QuantSpec
+from .train import POSITIONS
 
 _CHOICES = {
-    "calib.method": ("apiq-lw", "apiq-bw", "loftq", "rtn", "qlora"),
-    "quant.clip_granularity": ("per-matrix", "per-group"),
-    "finetune.lora_position": ("all", "attn", "ffn"),
+    "calib.method": METHODS,
+    "quant.bits": BITS,
+    "quant.clip_granularity": GRANULARITIES,
+    "finetune.lora_position": tuple(POSITIONS),
     "finetune.schedule": ("static", "cosine"),
 }
 
 # key -> smallest valid value; a count or length below it fails deep in
 # numpy, so it is rejected when the config loads
 _MINIMUM = {
+    "quant.rank": 0,
     "calib.batch": 1,
     "calib.samples": 1,
     "calib.seq_len": 1,
@@ -38,25 +45,23 @@ _MINIMUM = {
     "eval.chunk_len": 2,
 }
 
-# key -> (type, default); the model.* keys are the ModelConfig fields
+
+def _fields(prefix: str, cls) -> dict:
+    """A row per field of `cls`; a `seed` field is the shared `seed` key."""
+    return {f"{prefix}.{f.name}": (type(f.default), f.default)
+            for f in dataclasses.fields(cls) if f.name != "seed"}
+
+
+# key -> (type, default); the model.*, quant.* and calib.* keys are the
+# fields of the classes `section` builds from them
 SCHEMA: dict[str, tuple[type, object]] = {
     "seed": (int, 0),
-    **{f"model.{f.name}": (type(f.default), f.default)
-       for f in dataclasses.fields(ModelConfig)},
-    "quant.bits": (int, 2),
-    "quant.group": (int, 64),
-    "quant.clip_granularity": (str, "per-matrix"),
+    **_fields("model", ModelConfig),
+    **_fields("quant", QuantSpec),
     "quant.rank": (int, 8),
-    "calib.method": (str, "apiq-bw"),
-    "calib.epochs": (int, 20),
-    "calib.batch": (int, 4),
-    "calib.lr_theta": (float, 0.005),
-    "calib.lr_lora": (float, 0.001),
-    "calib.weight_decay": (float, 0.1),
+    **_fields("calib", CalibPlan),
     "calib.samples": (int, 16),
     "calib.seq_len": (int, 128),
-    "calib.loftq_iters": (int, 5),
-    "calib.clip_init": (float, 4.0),
     "pretrain.steps": (int, 2000),
     "pretrain.lr": (float, 0.001),
     "pretrain.batch": (int, 8),
@@ -84,9 +89,11 @@ def _convert(key: str, raw: str):
         value = typ(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
     if key in _CHOICES and value not in _CHOICES[key]:
-        raise ConfigError(
-            f"{key} must be one of {', '.join(_CHOICES[key])}, got {value!r}")
+        raise ConfigError(f"{key} must be one of "
+                          f"{', '.join(map(str, _CHOICES[key]))}, got {value!r}")
     if key in _MINIMUM and value < _MINIMUM[key]:
         raise ConfigError(f"{key} must be >= {_MINIMUM[key]}, got {value!r}")
     return value
@@ -108,15 +115,32 @@ def parse_config(text: str) -> dict:
     return cfg
 
 
-def load_config(path: str | None) -> dict:
-    if path is None:
-        return default_config()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
+def load_config(path: str | None, overrides: dict[str, str] | None = None) -> dict:
+    """The config file at `path` (defaults when None), then `overrides`
+    (key -> raw text, such as a command-line flag), each checked as a line
+    of the file is."""
+    text = ""
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    cfg = parse_config(text)
+    for key, raw in (overrides or {}).items():
+        cfg[key] = _convert(key, raw)
+    return cfg
+
+
+def section(cfg: dict, prefix: str, cls=None):
+    """The `<prefix>.*` keys of `cfg` named without their prefix, with the
+    unprefixed keys (`seed`) every section shares: keyword arguments, or
+    with `cls` the instance built from those of its fields."""
+    kwargs = {key.rpartition(".")[2]: value for key, value in cfg.items()
+              if key.startswith(f"{prefix}.") or "." not in key}
+    if cls is None:
+        return kwargs
+    return cls(**{f.name: kwargs[f.name] for f in dataclasses.fields(cls)})
 
 
 def canonical_config(cfg: dict) -> str:

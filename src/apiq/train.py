@@ -55,7 +55,7 @@ def pretrain(model: TinyTransformer, corpus: np.ndarray, steps: int,
 
 def finetune(model: TinyTransformer, corpus: np.ndarray, eval_corpus: np.ndarray,
              epochs: int, lr: float, batch: int, seq_len: int,
-             weight_decay: float, position: str, schedule: str,
+             weight_decay: float, lora_position: str, schedule: str,
              warmup: float, seed: int, chunk_len: int,
              on_epoch=None) -> list[TrainLogRow]:
     """Adapter-only finetuning; quantized codes stay frozen by construction.
@@ -64,17 +64,17 @@ def finetune(model: TinyTransformer, corpus: np.ndarray, eval_corpus: np.ndarray
     seeded shuffled order; the per-epoch perplexity on `eval_corpus` is
     recorded (and passed to `on_epoch` when given).
     """
-    if position not in POSITIONS:
-        raise ConfigError(f"unknown lora position {position!r}")
+    if lora_position not in POSITIONS:
+        raise ConfigError(f"unknown lora position {lora_position!r}")
     params = {}
     for block in model.blocks:
-        for lname in POSITIONS[position]:
+        for lname in POSITIONS[lora_position]:
             lay = block.layers[lname]
             if lay.lora is not None and lay.lora.rank > 0:
                 params[f"{lay.name}.lora_a"] = lay.lora.a
                 params[f"{lay.name}.lora_b"] = lay.lora.b
     if not params:
-        raise ConfigError(f"no trainable adapters at position {position!r}")
+        raise ConfigError(f"no trainable adapters at position {lora_position!r}")
     opt = AdamW([(list(params.values()), lr, weight_decay)])
     rng = RngState(seed).derive(0xF17E)
 

@@ -176,7 +176,7 @@ class TestApiqLwLayer:
         spec = QuantSpec(bits=8, group=1)
         lay = _linear("blocks.0.attn.q", [[1.0]])
         x = np.array([[[1.0]]], dtype=np.float32)
-        plan = CalibPlan(method="apiq-lw", epochs=1500, batch_size=1, seed=0,
+        plan = CalibPlan(method="apiq-lw", epochs=1500, batch=1, seed=0,
                          weight_decay=0.0, lr_lora=0.01)
         y, yq, rows = apiq_lw_layer(lay, x, x, plan, spec, rank=1,
                                     stream=RngState(1))
@@ -187,7 +187,7 @@ class TestApiqLwLayer:
         spec = QuantSpec(bits=2, group=4)
         lay = _linear("blocks.0.attn.q", np.zeros((4, 3)))
         x = RngState(2).randn((2, 5, 4)).astype(np.float32)
-        plan = CalibPlan(method="apiq-lw", epochs=3, batch_size=2, seed=0)
+        plan = CalibPlan(method="apiq-lw", epochs=3, batch=2, seed=0)
         y, yq, rows = apiq_lw_layer(lay, x, x, plan, spec, rank=2,
                                     stream=RngState(3))
         assert rows[0].loss == 0.0
@@ -200,7 +200,7 @@ class TestApiqLwLayer:
         w = (RngState(seed).randn((16, 16)) * 0.1).astype(np.float32)
         lay = _linear("blocks.0.attn.q", w)
         x = RngState(100 + seed).randn((8, 4, 16)).astype(np.float32)
-        plan = CalibPlan(method="apiq-lw", epochs=20, batch_size=4, seed=seed)
+        plan = CalibPlan(method="apiq-lw", epochs=20, batch=4, seed=seed)
         _, _, rows = apiq_lw_layer(lay, x, x, plan, spec, rank=4,
                                    stream=RngState(200 + seed))
         retained = min(r.loss for r in rows)
@@ -211,7 +211,7 @@ class TestApiqLwLayer:
         spec = QuantSpec(bits=2, group=4)
         lay = _linear("blocks.0.attn.q", (RngState(1).randn((4, 4)) * 1e18).astype(np.float32))
         x = (RngState(2).randn((2, 2, 4)) * 1e18).astype(np.float32)
-        plan = CalibPlan(method="apiq-lw", epochs=3, batch_size=1, seed=0,
+        plan = CalibPlan(method="apiq-lw", epochs=3, batch=1, seed=0,
                          lr_lora=1e30, lr_theta=1e30)
         with pytest.raises(NumericError) as exc:
             apiq_lw_layer(lay, x, x, plan, spec, rank=2, stream=RngState(3))
@@ -223,7 +223,7 @@ class TestApiqLwLayer:
         w = (RngState(21).randn((8, 8)) * 0.1).astype(np.float32)
         lay = _linear("blocks.0.attn.q", w)
         xq = RngState(22).randn((3, 4, 8)).astype(np.float32)
-        plan = CalibPlan(method="apiq-lw", epochs=4, batch_size=2, seed=1)
+        plan = CalibPlan(method="apiq-lw", epochs=4, batch=2, seed=1)
         _, yq, _ = apiq_lw_layer(lay, xq.copy(), xq, plan, spec, rank=2,
                                  stream=RngState(23))
         assert yq.tobytes() == (xq @ lay.effective_weight()).tobytes()
@@ -242,7 +242,7 @@ class TestApiqBwBlock:
         x = (RngState(31).randn((4, 8, 32)) * 0.1).astype(np.float32)
         spec = QuantSpec(bits=8, group=32)
         # clip_init = 30 saturates the sigmoid to exactly 1.0 in f32
-        plan = CalibPlan(method="apiq-bw", epochs=2, batch_size=2, seed=0,
+        plan = CalibPlan(method="apiq-bw", epochs=2, batch=2, seed=0,
                          clip_init=30.0)
         y, yq, rows = apiq_bw_block(block, x, x, plan, spec, rank=0,
                                     stream=RngState(32), cfg=CFG,
@@ -258,7 +258,7 @@ class TestApiqBwBlock:
             model = TinyTransformer.init(CFG, seed=40 + seed)
             x = (RngState(50 + seed).randn((8, 16, 32)) * 0.5).astype(np.float32)
             spec = QuantSpec(bits=2, group=32)
-            plan_kwargs = dict(epochs=20, batch_size=4, seed=seed)
+            plan_kwargs = dict(epochs=20, batch=4, seed=seed)
 
             block_lw = copy.deepcopy(model.blocks[0])
             y_full = forward_block(block_lw, ad.Var(x), CFG).value
@@ -344,7 +344,7 @@ class TestRetainedLoss:
         w = (RngState(70 + seed).randn((32, 16)) * 0.1).astype(np.float32)
         x = RngState(80 + seed).randn((n_samples, 4, 32)).astype(np.float32)
         x_q = x + (RngState(90 + seed).randn(x.shape) * 0.05).astype(np.float32)
-        plan = CalibPlan(method="apiq-lw", epochs=6, batch_size=2, seed=seed)
+        plan = CalibPlan(method="apiq-lw", epochs=6, batch=2, seed=seed)
         y_full, y_q, rows = apiq_lw_layer(_linear("blocks.0.mlp.down", w), x, x_q,
                                           plan, spec, rank=rank, stream=RngState(seed))
         assert min(r.loss for r in rows) == self._frozen_loss(y_q, y_full)
@@ -353,7 +353,7 @@ class TestRetainedLoss:
         model = TinyTransformer.init(CFG, seed=71)
         x = (RngState(81).randn((n_samples, 8, 32)) * 0.5).astype(np.float32)
         x_q = x + (RngState(91).randn(x.shape) * 0.05).astype(np.float32)
-        plan = CalibPlan(method="apiq-bw", epochs=3, batch_size=2, seed=1)
+        plan = CalibPlan(method="apiq-bw", epochs=3, batch=2, seed=1)
         y_full, y_q, rows = apiq_bw_block(
             model.blocks[0], x, x_q, plan, QuantSpec(bits=2, group=32), rank=rank,
             stream=RngState(1), cfg=CFG, unit="blocks.0")
@@ -383,7 +383,7 @@ class TestQuantizeModel:
     @pytest.mark.parametrize("method", ["rtn", "qlora", "loftq", "apiq-lw", "apiq-bw"])
     def test_all_methods_finite_and_frozen(self, toy_setup, method):
         model, calib = toy_setup
-        plan = CalibPlan(method=method, epochs=4, batch_size=4, seed=1)
+        plan = CalibPlan(method=method, epochs=4, batch=4, seed=1)
         qm, rows = quantize_model(model, calib, plan, QuantSpec(bits=2, group=16),
                                   rank=4)
         for lay in qm.iter_layers():
@@ -408,7 +408,7 @@ class TestQuantizeModel:
     @pytest.mark.parametrize("method", ["apiq-lw", "apiq-bw"])
     def test_rank_zero_clip_only(self, toy_setup, method):
         model, calib = toy_setup
-        plan = CalibPlan(method=method, epochs=2, batch_size=4, seed=1)
+        plan = CalibPlan(method=method, epochs=2, batch=4, seed=1)
         qm, rows = quantize_model(model, calib, plan, QuantSpec(bits=2, group=16),
                                   rank=0)
         assert all(lay.lora is None for lay in qm.iter_layers())
@@ -437,7 +437,7 @@ class TestQuantizeModel:
         # the X^q each layer was calibrated on must equal what the frozen
         # model actually produces when run end to end
         model, calib = toy_setup
-        plan = CalibPlan(method="apiq-lw", epochs=2, batch_size=4, seed=5)
+        plan = CalibPlan(method="apiq-lw", epochs=2, batch=4, seed=5)
         qm, _ = quantize_model(model, calib, plan, QuantSpec(bits=2, group=16),
                                rank=4)
         seen = []
@@ -460,7 +460,7 @@ class TestQuantizeModel:
             raise AssertionError("quantize_model ran TinyTransformer.forward")
 
         monkeypatch.setattr(TinyTransformer, "forward", forward)
-        plan = CalibPlan(method=method, epochs=1, batch_size=4, seed=1)
+        plan = CalibPlan(method=method, epochs=1, batch=4, seed=1)
         qm, _ = quantize_model(model, calib, plan, QuantSpec(bits=2, group=16),
                                rank=2)
         assert all(lay.qstate is not None for lay in qm.iter_layers())
@@ -470,7 +470,7 @@ class TestQuantizeModel:
         model, calib = toy_setup
         paths = []
         for run in range(2):
-            plan = CalibPlan(method="apiq-bw", epochs=2, batch_size=4, seed=7)
+            plan = CalibPlan(method="apiq-bw", epochs=2, batch=4, seed=7)
             qm, _ = quantize_model(model, calib, plan, QuantSpec(bits=2, group=16),
                                    rank=4)
             p = tmp_path / f"run{run}.ckpt"
@@ -480,7 +480,7 @@ class TestQuantizeModel:
 
     def test_clip_factors_stay_in_unit_interval(self, toy_setup):
         model, calib = toy_setup
-        plan = CalibPlan(method="apiq-lw", epochs=3, batch_size=4, seed=8)
+        plan = CalibPlan(method="apiq-lw", epochs=3, batch=4, seed=8)
         qm, _ = quantize_model(model, calib, plan, QuantSpec(bits=2, group=16),
                                rank=2)
         from apiq.autodiff import sigmoid_fwd
@@ -520,7 +520,7 @@ class TestQuantizeModel:
         from apiq import model_io
         model, calib = toy_setup
         spec = QuantSpec(bits=2, group=16, clip_granularity="per-group")
-        plan = CalibPlan(method="apiq-lw", epochs=2, batch_size=4, seed=11)
+        plan = CalibPlan(method="apiq-lw", epochs=2, batch=4, seed=11)
         qm, _ = quantize_model(model, calib, plan, spec, rank=2)
         lay = qm.blocks[0].layers["q"]
         assert lay.qstate.clip.gamma.shape == (32 // 16, 32)

@@ -6,10 +6,10 @@ import pytest
 
 from apiq import model_io
 from apiq.checkpoint import load_tensors, save_tensors
-from apiq.cli import main
+from apiq.cli import build_parser, main
 from apiq.model import ModelConfig, TinyTransformer
 from apiq.quant import unpack
-from apiq.runconfig import default_corpus_path
+from apiq.runconfig import SCHEMA, default_corpus_path
 
 CONFIG_TEXT = """
 seed = 5
@@ -230,6 +230,19 @@ class TestQuantize:
         assert not out.exists()
         assert not (ws / f"{out.name}.calib.tsv").exists()
 
+    @pytest.mark.parametrize("flag,value,key", [("--method", "foo", "calib.method"),
+                                                ("--bits", "5", "quant.bits"),
+                                                ("--rank", "x", "quant.rank"),
+                                                ("--rank", "-1", "quant.rank")])
+    def test_bad_flag_exit_2_naming_the_key(self, ws, pretrained, capsys, flag, value,
+                                            key):
+        out = ws / "flag.ckpt"
+        assert main(["quantize", "--config", str(ws / "run.cfg"), "--in", str(pretrained),
+                     "--corpus", str(ws / "corpus.txt"), flag, value,
+                     "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_quantize_twice_exit_2(self, ws, quantized):
         assert main(["quantize", "--config", str(ws / "run.cfg"),
                      "--in", str(quantized), "--method", "rtn", "--bits", "2",
@@ -356,10 +369,13 @@ class TestEval:
 
 
 def _stage_argv(command, cfg, ws, out, pretrained, quantized):
-    """`pretrain`, `quantize` (of the base model) or `finetune` (of the
-    quantized one) with `cfg`, writing `out`."""
-    argv = [command, "--config", str(cfg), "--corpus", str(ws / "corpus.txt"),
-            "--out", str(out)]
+    """`pretrain`, `quantize` (of the base model), `finetune` (of the
+    quantized one) or `eval` (of the quantized one, profiled against the
+    base model) with `cfg`, writing `out` or reports prefixed with it."""
+    argv = [command, "--config", str(cfg), "--corpus", str(ws / "corpus.txt")]
+    argv += ["--report-prefix" if command == "eval" else "--out", str(out)]
+    if command == "eval":
+        argv += ["--profile-against", str(pretrained)]
     if command != "pretrain":
         argv += ["--in", str(pretrained if command == "quantize" else quantized)]
     return argv
@@ -374,15 +390,37 @@ def _stage_argv(command, cfg, ws, out, pretrained, quantized):
     ("finetune.batch", 0, "finetune"),
     ("finetune.seq_len", 0, "finetune"),
     ("eval.chunk_len", 1, "pretrain"),
+    # model.max_seq is 64
+    ("pretrain.seq_len", 100, "pretrain"),
+    ("eval.chunk_len", 100, "pretrain"),
+    ("calib.seq_len", 100, "quantize"),
+    ("finetune.seq_len", 100, "finetune"),
+    ("eval.chunk_len", 100, "finetune"),
+    ("eval.chunk_len", 100, "eval"),
+    ("calib.seq_len", 100, "eval"),
+    ("finetune.warmup", "inf", "finetune"),
+    ("pretrain.lr", "nan", "pretrain"),
 ])
 def test_out_of_range_count_exit_2_before_work(ws, pretrained, quantized, capsys,
                                                key, value, command):
     cfg = ws / "range.cfg"
-    cfg.write_text(CONFIG_TEXT + f"{key} = {value}\n")
+    # cosine: the schedule that reads finetune.warmup
+    cfg.write_text(CONFIG_TEXT + f"{key} = {value}\nfinetune.schedule = cosine\n")
     out = ws / "range.ckpt"
     assert main(_stage_argv(command, cfg, ws, out, pretrained, quantized)) == 2
     assert key in capsys.readouterr().err
-    assert not out.exists()
+    assert list(ws.glob("range.ckpt*")) == []
+
+
+def test_every_dotted_flag_is_a_config_key():
+    """A flag whose dest has a dot overrides that config key; a renamed key
+    must fail here, not only when the flag is used."""
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    dests = {a.dest for p in subparsers.choices.values() for a in p._actions}
+    dotted = {d for d in dests if "." in d}
+    assert dotted == {"calib.method", "quant.bits", "quant.rank",
+                      "finetune.lora_position", "eval.chunk_len"}
+    assert dotted <= set(SCHEMA)
 
 
 @pytest.mark.parametrize("command", ["pretrain", "quantize", "finetune"])
@@ -491,6 +529,20 @@ class TestCorruptCheckpoints:
         assert main(["eval", "--in", str(bad),
                      "--corpus", str(ws / "corpus.txt")]) == 3
         assert "bit width 5" in capsys.readouterr().err
+
+    # quant.meta = [bits, group, granularity flag, adapter alpha]
+    @pytest.mark.parametrize("index,value,named", [(0, 2.5, "bits 2.5"),
+                                                   (1, 16.5, "group 16.5"),
+                                                   (2, 0.5, "granularity flag 0.5"),
+                                                   (3, -5.0, "alpha -5.0"),
+                                                   (3, 0.0, "alpha 0.0")])
+    def test_quant_meta_value_invalid_exit_3(self, ws, quantized, capsys, index, value,
+                                             named):
+        bad = _tampered(quantized, ws / "meta.ckpt", "quant.meta",
+                        lambda t: t.__setitem__(index, value))
+        assert main(["eval", "--in", str(bad),
+                     "--corpus", str(ws / "corpus.txt")]) == 3
+        assert f"quant.meta {named}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("config", [np.array([256.0, 32.0, 4.0]),
                                         np.full(7, np.nan)])

@@ -262,7 +262,7 @@ class TestRegistry:
         from apiq.calib import CalibPlan, quantize_model, sample_calib
         m = TinyTransformer.init(self.SMALL, seed=31)
         calib = sample_calib(_tokens(32, (400,)), n_samples=2, seq_len=8, seed=33)
-        plan = CalibPlan(method="apiq-bw", epochs=1, batch_size=2, seed=34)
+        plan = CalibPlan(method="apiq-bw", epochs=1, batch=2, seed=34)
         q, _ = quantize_model(m, calib, plan, QuantSpec(bits=2, group=8), rank=2)
         assert all(lay.qstate is not None for lay in q.iter_layers())
         return q

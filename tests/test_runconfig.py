@@ -1,9 +1,20 @@
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from apiq import train
+from apiq.calib import CalibPlan
 from apiq.errors import ConfigError, InputError
-from apiq.runconfig import (canonical_config, default_config, load_corpus,
-                            parse_config)
+from apiq.model import ModelConfig
+from apiq.quant import QuantSpec
+from apiq.runconfig import (SCHEMA, canonical_config, default_config, load_config,
+                            load_corpus, parse_config, section)
+
+NUMERIC_KEYS = [k for k, (typ, _) in SCHEMA.items() if typ in (int, float)]
+FLOAT_KEYS = [k for k, (typ, _) in SCHEMA.items() if typ is float]
 
 
 def test_defaults_complete():
@@ -53,6 +64,73 @@ def test_canonical_is_sorted_single_line_deterministic():
     assert a == b
     assert "\n" not in a
     assert a.index("calib.batch=") < a.index("seed=")
+
+
+def test_default_canonical_config_is_pinned():
+    # the first line of every TSV log: a change here changes every log's bytes
+    assert canonical_config(default_config()) == (
+        "calib.batch=4 calib.clip_init=4.0 calib.epochs=20 calib.loftq_iters=5 "
+        "calib.lr_lora=0.001 calib.lr_theta=0.005 calib.method=apiq-bw "
+        "calib.samples=16 calib.seq_len=128 calib.weight_decay=0.1 "
+        "eval.chunk_len=128 finetune.batch=8 finetune.epochs=3 "
+        "finetune.lora_position=all finetune.lr=0.001 finetune.schedule=static "
+        "finetune.seq_len=128 finetune.warmup=0.03 finetune.weight_decay=0.1 "
+        "model.d_ff=128 model.d_model=64 model.max_seq=128 model.n_blocks=2 "
+        "model.n_heads=4 model.rope_theta=10000.0 model.vocab=256 "
+        "pretrain.batch=8 pretrain.lr=0.001 pretrain.seq_len=128 "
+        "pretrain.steps=2000 pretrain.weight_decay=0.1 quant.bits=2 "
+        "quant.clip_granularity=per-matrix quant.group=64 quant.rank=8 seed=0")
+
+
+def test_sections_build_their_consumers():
+    cfg = default_config()
+    assert section(cfg, "model", ModelConfig) == ModelConfig()
+    assert section(cfg, "quant", QuantSpec) == QuantSpec()
+    assert section(cfg, "calib", CalibPlan) == CalibPlan()
+    cfg.update({"seed": 7, "calib.batch": 2, "finetune.lora_position": "ffn"})
+    assert section(cfg, "calib", CalibPlan) == CalibPlan(batch=2, seed=7)
+    # every key of a train section is an argument of its function
+    inspect.signature(train.pretrain).bind(None, None, **section(cfg, "pretrain"))
+    kwargs = section(cfg, "finetune")
+    assert kwargs["lora_position"] == "ffn" and kwargs["seed"] == 7
+    inspect.signature(train.finetune).bind(None, None, None, chunk_len=2, **kwargs)
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_float_rejected(key, raw):
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        parse_config(f"{key} = {raw}")
+
+
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+@pytest.mark.parametrize("raw", ["0", "-1", "nan", "inf"])
+def test_numeric_key_returns_or_raises_config_error(key, raw):
+    try:
+        cfg = parse_config(f"{key} = {raw}")
+    except ConfigError as exc:
+        assert key in str(exc)
+    else:
+        assert cfg[key] == SCHEMA[key][0](raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.text(max_size=40),
+    st.builds("{} = {}".format, st.sampled_from(sorted(SCHEMA)), st.text(max_size=12)),
+), max_size=6))
+def test_parse_config_raises_only_config_error(lines):
+    try:
+        parse_config("\n".join(lines))
+    except ConfigError:
+        pass
+
+
+def test_overrides_replace_file_values(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("quant.bits = 4\nquant.rank = 2\n")
+    cfg = load_config(str(path), {"quant.rank": "0", "calib.method": "rtn"})
+    assert (cfg["quant.bits"], cfg["quant.rank"], cfg["calib.method"]) == (4, 0, "rtn")
 
 
 def test_corpus_roundtrip_identity(tmp_path):
