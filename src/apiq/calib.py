@@ -35,7 +35,7 @@ from . import autodiff as ad
 from .errors import ConfigError, NumericError
 from .linalg import group_minmax, truncated_svd
 from .model import (Block, Linear, LoraPair, ModelConfig, QuantState,
-                    TinyTransformer, forward_block, linear_apply, lora_delta)
+                    TinyTransformer, forward_block, linear_apply)
 from .quant import (ClipParams, QuantSpec, clip_to_params, dequantize,
                     pack, quantize, ste_fake_quant)
 from .rng import RngState
@@ -185,38 +185,29 @@ class CalibLogRow:
 
 @dataclass
 class _TrainableQuant:
-    """One layer's clip logits and adapter, with its weight's group extrema."""
+    """One layer's clip logits and its weight's group extrema; the layer
+    carries its adapter while it calibrates."""
 
     layer: Linear
     mins: np.ndarray
     maxs: np.ndarray
     gamma: np.ndarray
     beta: np.ndarray
-    lora: LoraPair | None
 
     @classmethod
     def create(cls, layer: Linear, spec: QuantSpec, rank: int,
                stream: RngState, clip_init: float) -> "_TrainableQuant":
+        """Clip logits for `layer`, and its default adapter attached."""
         mins, maxs = group_minmax(layer.weight, spec.group)
         clip = ClipParams.init(spec, layer.d1, layer.d2, value=clip_init)
-        return cls(layer=layer, mins=mins, maxs=maxs, gamma=clip.gamma,
-                   beta=clip.beta, lora=_lora_default(layer.d1, layer.d2, rank, stream))
-
-    def effective_var(self, spec: QuantSpec, leaves: dict[int, ad.Var]) -> ad.Var:
-        """Tape expression Q(gamma, beta) + A B^T over the leaf Vars that
-        `leaves` maps each trainable array's `id` to."""
-        eff = ste_fake_quant(self.layer.weight, leaves[id(self.gamma)],
-                             leaves[id(self.beta)], spec, self.mins, self.maxs)
-        if self.lora is not None:
-            a, b = leaves[id(self.lora.a)], leaves[id(self.lora.b)]
-            eff = ad.add(eff, lora_delta(a, b, self.lora.alpha))
-        return eff
+        layer.lora = _lora_default(layer.d1, layer.d2, rank, stream)
+        return cls(layer=layer, mins=mins, maxs=maxs, gamma=clip.gamma, beta=clip.beta)
 
     def freeze(self, spec: QuantSpec) -> None:
         clip = ClipParams(gamma=self.gamma, beta=self.beta)
         params = clip_to_params(self.mins, self.maxs, clip, spec)
         codes = quantize(self.layer.weight, params, spec)
-        _freeze(self.layer, codes, params, clip, spec, self.lora)
+        _freeze(self.layer, codes, params, clip, spec, self.layer.lora)
 
 
 def _calibrate(states: list[_TrainableQuant], forward, x_q: np.ndarray,
@@ -225,14 +216,16 @@ def _calibrate(states: list[_TrainableQuant], forward, x_q: np.ndarray,
     """Minimize MSE(forward(X^q) - Y) over the states' clip logits and
     adapters with AdamW; the loop both calibration variants share.
 
-    `forward(x, effs)` maps a batch and one effective-weight expression
-    per state to the unit's output. The loss on the whole set is taken
+    `forward(x, trainable)` maps a batch to the unit's output; `trainable`
+    binds each state's clip logits, adapter factors and, to its fake-quant
+    expression, its weight (see `model.w_eff`). The loss on the set is taken
     after every epoch, one batch at a time into one f64 buffer; the best
     state seen (strictly lower loss) is restored and every state frozen. A
     non-finite loss raises NumericError naming the unit and epoch (and
     batch). Returns the per-epoch log.
     """
-    lora = [p for st in states if st.lora is not None for p in (st.lora.a, st.lora.b)]
+    adapters = [st.layer.lora for st in states if st.layer.lora is not None]
+    lora = [p for pair in adapters for p in (pair.a, pair.b)]
     theta = [p for st in states for p in (st.gamma, st.beta)]
     groups = [(ps, lr, plan.weight_decay)
               for ps, lr in ((lora, plan.lr_lora), (theta, plan.lr_theta)) if ps]
@@ -241,16 +234,20 @@ def _calibrate(states: list[_TrainableQuant], forward, x_q: np.ndarray,
     batches = [slice(lo, lo + plan.batch) for lo in range(0, len(x_q), plan.batch)]
     diff = np.empty(y_full.shape, dtype=np.float64)
 
-    def effective(leaf) -> tuple[list[ad.Var], dict[int, ad.Var]]:
-        leaves = {id(p): leaf(p) for p in params}
-        return [st.effective_var(spec, leaves) for st in states], leaves
+    def bind(leaf) -> dict[int, ad.Var]:
+        bound = {id(p): leaf(p) for p in params}
+        for st in states:
+            bound[id(st.layer.weight)] = ste_fake_quant(
+                st.layer.weight, bound[id(st.gamma)], bound[id(st.beta)], spec,
+                st.mins, st.maxs)
+        return bound
 
     def full_loss(epoch: int) -> float:
         # per batch into one f64 buffer, squared in place: the values are
         # those of a whole-set forward, without its whole-set temporaries
-        effs = effective(ad.Var)[0]
+        bound = bind(ad.Var)
         for b in batches:
-            diff[b] = forward(x_q[b], effs).value
+            diff[b] = forward(x_q[b], bound).value
         np.subtract(diff, y_full, out=diff)
         np.multiply(diff, diff, out=diff)
         loss = float(diff.mean())
@@ -263,12 +260,12 @@ def _calibrate(states: list[_TrainableQuant], forward, x_q: np.ndarray,
     for epoch in range(1, plan.epochs + 1):
         for bi, b in enumerate(batches):
             with ad.Tape() as tape:
-                effs, leaves = effective(ad.param)
-                loss = ad.mse(forward(x_q[b], effs), y_full[b])
+                bound = bind(ad.param)
+                loss = ad.mse(forward(x_q[b], bound), y_full[b])
             if not np.isfinite(loss.value):
                 raise NumericError(f"non-finite loss at {unit}, epoch {epoch}, batch {bi}")
             ad.backward(tape, loss)
-            opt.step([[leaves[id(p)].grad for p in ps] for ps, _, _ in groups])
+            opt.step([[bound[id(p)].grad for p in ps] for ps, _, _ in groups])
         end = full_loss(epoch)
         rows.append(CalibLogRow(unit=unit, epoch=epoch, loss=end))
         if end < best:
@@ -292,7 +289,7 @@ def apiq_lw_layer(layer: Linear, x_full: np.ndarray, x_q: np.ndarray,
     """
     y_full = x_full @ layer.weight
     state = _TrainableQuant.create(layer, spec, rank, stream, plan.clip_init)
-    rows = _calibrate([state], lambda x, effs: ad.matmul(ad.Var(x), effs[0]),
+    rows = _calibrate([state], lambda x, bound: linear_apply(layer, ad.Var(x), bound),
                       x_q, y_full, plan, spec, layer.name)
     return y_full, x_q @ layer.effective_weight(), rows
 
@@ -306,13 +303,9 @@ def apiq_bw_block(block: Block, x_full: np.ndarray, x_q: np.ndarray,
     y_full = forward_block(block, ad.Var(x_full), cfg).value
     states = [_TrainableQuant.create(lay, spec, rank, stream.derive(j), plan.clip_init)
               for j, lay in enumerate(block.layers.values())]
-
-    def forward(x: np.ndarray, effs: list[ad.Var]) -> ad.Var:
-        by_name = {st.layer.name: eff for st, eff in zip(states, effs)}
-        return forward_block(block, ad.Var(x), cfg,
-                             hook=lambda layer, xv: ad.matmul(xv, by_name[layer.name]))
-
-    rows = _calibrate(states, forward, x_q, y_full, plan, spec, unit)
+    rows = _calibrate(states, lambda x, bound: forward_block(block, ad.Var(x), cfg,
+                                                            trainable=bound),
+                      x_q, y_full, plan, spec, unit)
     y_q = forward_block(block, ad.Var(x_q), cfg).value
     return y_full, y_q, rows
 

@@ -189,6 +189,7 @@ def cmd_eval(args, cfg: dict) -> int:
     prefix = args.report_prefix if args.report_prefix is not None else args.input
     config_line = canonical_config(cfg)
 
+    full = None
     if args.profile_against is not None:
         full = model_io.load_model(args.profile_against)
         _check_lengths(cfg, min(model.config.max_seq, full.config.max_seq),
@@ -201,10 +202,7 @@ def cmd_eval(args, cfg: dict) -> int:
             fh.write(report_to_tsv(wer, config_line))
 
     if layer is not None:
-        ref = None
-        if args.profile_against is not None:
-            ref_layer = model_io.load_model(args.profile_against).find_layer(args.hist)
-            ref = ref_layer.weight
+        ref = None if full is None else full.find_layer(args.hist).weight
         hists = histogram_export(layer, bins=args.bins, reference_weight=ref)
         with atomic_open(f"{prefix}.hist.tsv", "w", encoding="utf-8") as fh:
             fh.write(histograms_to_tsv(hists, config_line))
@@ -216,7 +214,10 @@ def cmd_eval(args, cfg: dict) -> int:
 
 def main(argv=None) -> int:
     _keep_freed_memory()
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed a usage error, or --help
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         return args.func(args, _config(args))
     except ConfigError as exc:

@@ -140,7 +140,7 @@ def histogram_export(layer: Linear, bins: int,
         tensors["W"] = w
     if layer.qstate is not None:
         tensors["Q"] = layer.qstate.dequantized()
-    if layer.lora is not None and layer.lora.rank > 0:
+    if layer.lora is not None:
         tensors["ABt"] = layer.lora.delta()
         tensors["A"] = layer.lora.a
         tensors["B"] = layer.lora.b

@@ -11,25 +11,25 @@ with an attached low-rank adapter. The effective weight is
 
     W_eff = base + (alpha / r) * A @ B^T
 
-and is the single expression all forwards and calibration share, so the
-propagated activations of the quantized path are bit-exact with a later
-reload of the same checkpoint.
+and is formed in one function, `w_eff`, that all forwards and calibration
+share, so the propagated activations of the quantized path are bit-exact
+with a later reload of the same checkpoint.
 
 The forward pass is written in autodiff ops; with no active tape it is a
 plain numpy computation. Attention (head split, rotary positions, causal
 softmax, merge) is one op, `ad.causal_attention`, with one tape entry; it
 runs per block of query rows over the keys each block may see, with or
 without a tape.
-`trainable` maps tensor names to Vars so callers choose which parameters
-receive gradients (all of them for pretraining, adapters only for
-finetuning).
+`trainable` maps the `id` of a model array to the Var a forward reads in
+its place, so callers choose which parameters receive gradients (all of
+them for pretraining, adapters only for finetuning) and calibration binds a
+weight to its fake-quant expression; `_bound` is the one lookup.
 
-`forward_block(block, x, cfg, hook)` is the one way to run a block: `hook`
-applies each linear layer, so callers record layer inputs and outputs or
-substitute calibrated weights through it, and `ModelConfig` is the only
-description of the geometry. The rotary tables come from `rope_tables`,
-built per sequence length and cached, so `max_seq` is a limit and not an
-allocation.
+`forward_block(block, x, cfg, hook, trainable)` is the one way to run a
+block: `hook` applies each linear layer, so callers record layer inputs and
+outputs through it, and `ModelConfig` is the only description of the
+geometry. The rotary tables come from `rope_tables`, built per sequence
+length and cached, so `max_seq` is a limit and not an allocation.
 
 `TinyTransformer` is the one place that defines tensor names and their
 order: `layers` maps each projection name to its Linear, and
@@ -87,10 +87,6 @@ class LoraPair:
     b: np.ndarray
     alpha: float
 
-    @property
-    def rank(self) -> int:
-        return self.a.shape[1]
-
     def delta(self) -> np.ndarray:
         return lora_delta(ad.Var(self.a), ad.Var(self.b), self.alpha).value
 
@@ -132,10 +128,7 @@ class Linear:
         return self.weight if self.qstate is None else self.qstate.dequantized()
 
     def effective_weight(self) -> np.ndarray:
-        base = self.base_weight()
-        if self.lora is not None and self.lora.rank > 0:
-            return base + self.lora.delta()
-        return base
+        return w_eff(self).value
 
 
 @dataclass
@@ -208,7 +201,7 @@ class TinyTransformer:
         yield "final_norm.weight", self, "final_norm"
 
     def embed_tokens(self, tokens: np.ndarray,
-                     trainable: dict[str, ad.Var] | None = None) -> ad.Var:
+                     trainable: dict[int, ad.Var] | None = None) -> ad.Var:
         """Embeddings (n, t, d_model) of token ids (n, t) or (t,), the input
         of the first block."""
         tokens = np.asarray(tokens)
@@ -219,20 +212,17 @@ class TinyTransformer:
         if tokens.shape[1] > self.config.max_seq:
             raise InputError(
                 f"sequence length {tokens.shape[1]} exceeds max_seq {self.config.max_seq}")
-        trainable = trainable or {}
-        return ad.embedding(trainable.get("embed.weight", ad.Var(self.embed)), tokens)
+        return ad.embedding(_bound(self.embed, trainable), tokens)
 
     def forward(self, tokens: np.ndarray, hook=None,
-                trainable: dict[str, ad.Var] | None = None) -> ad.Var:
+                trainable: dict[int, ad.Var] | None = None) -> ad.Var:
         """Logits (n, t, vocab) for token ids (n, t) or (t,); `hook` is
         passed to every block (see `forward_block`)."""
-        trainable = trainable or {}
         x = self.embed_tokens(tokens, trainable)
         for block in self.blocks:
             x = forward_block(block, x, self.config, hook=hook, trainable=trainable)
-        x = ad.rmsnorm(x, trainable.get("final_norm.weight", ad.Var(self.final_norm)))
-        embed = trainable.get("embed.weight", ad.Var(self.embed))
-        return ad.matmul(x, ad.swap_last(embed))
+        x = ad.rmsnorm(x, _bound(self.final_norm, trainable))
+        return ad.matmul(x, ad.swap_last(_bound(self.embed, trainable)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -249,33 +239,41 @@ def rope_tables(t: int, head_dim: int, theta: float,
     return cos, sin
 
 
-def linear_apply(layer: Linear, x: ad.Var,
-                 trainable: dict[str, ad.Var] | None = None) -> ad.Var:
-    """x @ W_eff with base and adapter factors pulled from `trainable` when
-    present."""
-    trainable = trainable or {}
-    eff = trainable.get(f"{layer.name}.weight") or ad.Var(layer.base_weight())
+def _bound(arr: np.ndarray, trainable: dict[int, ad.Var] | None) -> ad.Var:
+    """The Var `trainable` binds to `arr` by identity, else `arr` as a
+    constant."""
+    return (trainable or {}).get(id(arr)) or ad.Var(arr)
+
+
+def w_eff(layer: Linear, trainable: dict[int, ad.Var] | None = None) -> ad.Var:
+    """W_eff = base + (alpha / r) * A @ B^T of `layer` as a tape expression,
+    each array read through `trainable`."""
+    base = _bound(layer.base_weight(), trainable)
     lora = layer.lora
-    if lora is not None and lora.rank > 0:
-        a = trainable.get(f"{layer.name}.lora_a") or ad.Var(lora.a)
-        b = trainable.get(f"{layer.name}.lora_b") or ad.Var(lora.b)
-        eff = ad.add(eff, lora_delta(a, b, lora.alpha))
-    return ad.matmul(x, eff)
+    if lora is None:
+        return base
+    return ad.add(base, lora_delta(_bound(lora.a, trainable), _bound(lora.b, trainable),
+                                   lora.alpha))
+
+
+def linear_apply(layer: Linear, x: ad.Var,
+                 trainable: dict[int, ad.Var] | None = None) -> ad.Var:
+    """x @ W_eff, with the layer's arrays read through `trainable`."""
+    return ad.matmul(x, w_eff(layer, trainable))
 
 
 def forward_block(block: Block, x: ad.Var, cfg: ModelConfig, hook=None,
-                  trainable: dict[str, ad.Var] | None = None) -> ad.Var:
+                  trainable: dict[int, ad.Var] | None = None) -> ad.Var:
     """One decoder block. `hook(layer, x) -> y` applies each linear layer;
-    the default multiplies by the layer's effective weight. The rotary
-    tables are those of `x`'s length and dtype."""
-    trainable = trainable or {}
+    the default is `linear_apply` through `trainable`, which also binds the
+    norm weights. The rotary tables are those of `x`'s length and dtype."""
     if hook is None:
         def hook(layer: Linear, xv: ad.Var) -> ad.Var:
             return linear_apply(layer, xv, trainable)
     cos, sin = rope_tables(x.value.shape[1], cfg.d_model // cfg.n_heads,
                            cfg.rope_theta, x.value.dtype)
 
-    a = ad.rmsnorm(x, _norm_var(block, "norm1", trainable))
+    a = ad.rmsnorm(x, _bound(block.norm1, trainable))
     q = hook(block.layers["q"], a)
     k = hook(block.layers["k"], a)
     v = hook(block.layers["v"], a)
@@ -283,13 +281,9 @@ def forward_block(block: Block, x: ad.Var, cfg: ModelConfig, hook=None,
     o = hook(block.layers["o"], ctx)
     h = ad.add(x, o)
 
-    b2 = ad.rmsnorm(h, _norm_var(block, "norm2", trainable))
+    b2 = ad.rmsnorm(h, _bound(block.norm2, trainable))
     g = hook(block.layers["gate"], b2)
     u = hook(block.layers["up"], b2)
     m = ad.mul(ad.silu(g), u)
     dn = hook(block.layers["down"], m)
     return ad.add(h, dn)
-
-
-def _norm_var(block: Block, which: str, trainable: dict[str, ad.Var]) -> ad.Var:
-    return trainable.get(f"{block.name}.{which}.weight", ad.Var(getattr(block, which)))

@@ -58,7 +58,7 @@ def _layer_entries(layer: Linear) -> list[Entry]:
             out.append((f"{n}.beta", qs.clip.beta))
     else:
         out.append((f"{n}.weight", layer.weight))
-    if layer.lora is not None and layer.lora.rank > 0:
+    if layer.lora is not None:
         out.append((f"{n}.lora_a", layer.lora.a))
         out.append((f"{n}.lora_b", layer.lora.b))
     return out
@@ -172,6 +172,8 @@ def _load_layer(layer: Linear, tensors: dict, spec: QuantSpec | None,
         layer.qstate = None
     if f"{n}.lora_a" in tensors:
         a = _req(tensors, f"{n}.lora_a", (d1, None))
+        if a.shape[1] == 0:
+            raise FormatError(f"tensor '{n}.lora_a' is a rank-0 adapter")
         b = _req(tensors, f"{n}.lora_b", (d2, a.shape[1]))
         layer.lora = LoraPair(a=a, b=b, alpha=alpha if alpha >= 0 else a.shape[1])
     else:

@@ -32,16 +32,15 @@ _CHOICES = {
 }
 
 # key -> smallest valid value; a count or length below it fails deep in
-# numpy, so it is rejected when the config loads
+# numpy, and a negative seed, count, rate or decay runs to no purpose, so
+# it is rejected when the config loads
 _MINIMUM = {
-    "quant.rank": 0,
-    "calib.batch": 1,
-    "calib.samples": 1,
-    "calib.seq_len": 1,
-    "pretrain.batch": 1,
-    "pretrain.seq_len": 1,
-    "finetune.batch": 1,
-    "finetune.seq_len": 1,
+    **dict.fromkeys(("seed", "quant.rank", "calib.epochs", "calib.loftq_iters",
+                     "calib.weight_decay", "pretrain.steps", "pretrain.lr",
+                     "pretrain.weight_decay", "finetune.epochs", "finetune.lr",
+                     "finetune.weight_decay", "finetune.warmup"), 0),
+    **dict.fromkeys(("calib.batch", "calib.samples", "calib.seq_len", "pretrain.batch",
+                     "pretrain.seq_len", "finetune.batch", "finetune.seq_len"), 1),
     "eval.chunk_len": 2,
 }
 

@@ -40,8 +40,8 @@ def pretrain(model: TinyTransformer, corpus: np.ndarray, steps: int,
             f"corpus has {len(corpus)} bytes, need at least {4 * seq_len}")
     if seq_len + 1 > len(corpus):
         raise InputError("corpus shorter than one training window")
-    params = {name: getattr(owner, attr) for name, owner, attr in model.named_tensors()}
-    opt = AdamW([(list(params.values()), lr, weight_decay)])
+    params = [getattr(owner, attr) for _, owner, attr in model.named_tensors()]
+    opt = AdamW([(params, lr, weight_decay)])
     rng = RngState(seed).derive(0x7121)
 
     rows = []
@@ -66,16 +66,13 @@ def finetune(model: TinyTransformer, corpus: np.ndarray, eval_corpus: np.ndarray
     """
     if lora_position not in POSITIONS:
         raise ConfigError(f"unknown lora position {lora_position!r}")
-    params = {}
-    for block in model.blocks:
-        for lname in POSITIONS[lora_position]:
-            lay = block.layers[lname]
-            if lay.lora is not None and lay.lora.rank > 0:
-                params[f"{lay.name}.lora_a"] = lay.lora.a
-                params[f"{lay.name}.lora_b"] = lay.lora.b
-    if not params:
+    adapters = [block.layers[lname].lora for block in model.blocks
+                for lname in POSITIONS[lora_position]
+                if block.layers[lname].lora is not None]
+    if not adapters:
         raise ConfigError(f"no trainable adapters at position {lora_position!r}")
-    opt = AdamW([(list(params.values()), lr, weight_decay)])
+    params = [p for pair in adapters for p in (pair.a, pair.b)]
+    opt = AdamW([(params, lr, weight_decay)])
     rng = RngState(seed).derive(0xF17E)
 
     n_windows = (len(corpus) - 1) // seq_len
@@ -105,17 +102,18 @@ def finetune(model: TinyTransformer, corpus: np.ndarray, eval_corpus: np.ndarray
     return rows
 
 
-def _step(model: TinyTransformer, opt: AdamW, params: dict[str, np.ndarray],
+def _step(model: TinyTransformer, opt: AdamW, params: list[np.ndarray],
           window: np.ndarray, what: str,
           lr_scale: float = 1.0) -> float:
-    """One AdamW step on next-token cross-entropy over `params`; returns the
-    loss. A non-finite loss raises NumericError naming `what`.
+    """One AdamW step on next-token cross-entropy over `params`, the model
+    arrays bound by identity; returns the loss. A non-finite loss raises
+    NumericError naming `what`.
 
     A step allocates and frees about 10 MB of buffers; `cli.main` keeps
     freed heap memory in the process, so the next step reuses it instead
     of faulting it back in.
     """
-    trainable = {n: ad.param(a) for n, a in params.items()}
+    trainable = {id(a): ad.param(a) for a in params}
     with ad.Tape() as tape:
         logits = model.forward(window[:, :-1], trainable=trainable)
         loss = ad.cross_entropy(logits, window[:, 1:])

@@ -360,6 +360,23 @@ class TestEval:
         assert main(["eval", "--in", str(ws), "--corpus", str(ws / "corpus.txt")]) == 3
         assert "cannot read checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["--in", "x.ckpt", "--bins", "x"], []])
+    def test_usage_error_returns_2(self, capsys, argv):
+        # a bad --bins value, and a missing --in
+        assert main(["eval", *argv]) == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_profile_reference_read_once(self, ws, pretrained, quantized, monkeypatch):
+        reads = []
+        load = model_io.load_model
+        monkeypatch.setattr(model_io, "load_model",
+                            lambda path: reads.append(str(path)) or load(path))
+        assert main(["eval", "--config", str(ws / "run.cfg"), "--in", str(quantized),
+                     "--corpus", str(ws / "corpus.txt"), "--profile-against",
+                     str(pretrained), "--hist", "blocks.0.attn.q",
+                     "--report-prefix", str(ws / "once")]) == 0
+        assert reads == [str(quantized), str(pretrained)]
+
     def test_quantized_codes_survive_cli_roundtrip(self, ws, quantized):
         model = model_io.load_model(quantized)
         entries = dict(load_tensors(quantized))
@@ -400,6 +417,18 @@ def _stage_argv(command, cfg, ws, out, pretrained, quantized):
     ("calib.seq_len", 100, "eval"),
     ("finetune.warmup", "inf", "finetune"),
     ("pretrain.lr", "nan", "pretrain"),
+    # negative values that ran with exit 0 (finetune.lr = -1 overflowed)
+    ("seed", -1, "pretrain"),
+    ("pretrain.steps", -1, "pretrain"),
+    ("pretrain.lr", -1, "pretrain"),
+    ("pretrain.weight_decay", -1, "pretrain"),
+    ("finetune.epochs", -1, "finetune"),
+    ("finetune.lr", -1, "finetune"),
+    ("finetune.weight_decay", -1, "finetune"),
+    ("finetune.warmup", -1, "finetune"),
+    ("calib.epochs", -1, "quantize"),
+    ("calib.loftq_iters", -1, "quantize"),
+    ("calib.weight_decay", -1, "quantize"),
 ])
 def test_out_of_range_count_exit_2_before_work(ws, pretrained, quantized, capsys,
                                                key, value, command):
@@ -553,6 +582,15 @@ class TestCorruptCheckpoints:
         assert main(["eval", "--in", str(bad),
                      "--corpus", str(ws / "corpus.txt")]) == 3
         assert "'config' tensor must hold 7 finite values" in capsys.readouterr().err
+
+    def test_rank_zero_adapter_exit_3(self, ws, quantized, capsys):
+        name = "blocks.0.attn.q"
+        bad = ws / "rank0.ckpt"
+        save_tensors(bad, [(n, t[:, :0] if n in (f"{name}.lora_a", f"{name}.lora_b")
+                            else t) for n, t in load_tensors(quantized)])
+        assert main(["eval", "--config", str(ws / "run.cfg"), "--in", str(bad),
+                     "--corpus", str(ws / "corpus.txt")]) == 3
+        assert f"'{name}.lora_a'" in capsys.readouterr().err
 
     def test_short_embedding_exit_3(self, ws, pretrained, capsys):
         bad = ws / "embed.ckpt"

@@ -1,0 +1,111 @@
+"""Same bytes as a tier-1 check: a tiny pipeline through `cli.main` whose
+every checkpoint, TSV log and printed line is compared by SHA-256 with the
+committed `golden_manifest.json`.
+
+The bytes are reproducible only on one numpy and BLAS build at one thread
+count, so the manifest records both; a toolchain change fails with a
+message that says so. A change that alters output bytes on purpose
+rewrites the manifest with `python tests/test_golden.py` and says so in
+CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+# apiq before numpy: the package fixes the BLAS thread count on import,
+# which a standalone run needs for the same bytes
+from apiq.cli import main
+from apiq.runconfig import default_corpus_path
+
+import numpy as np  # noqa: E402
+
+MANIFEST = Path(__file__).with_name("golden_manifest.json")
+
+CONFIG = """\
+seed = 3
+model.d_model = 32
+model.d_ff = 64
+model.n_heads = 2
+model.max_seq = 32
+quant.group = 16
+quant.rank = 4
+calib.samples = 4
+calib.seq_len = 32
+calib.epochs = 2
+calib.batch = 2
+pretrain.steps = 20
+pretrain.seq_len = 32
+finetune.epochs = 1
+finetune.seq_len = 32
+finetune.schedule = cosine
+eval.chunk_len = 32
+"""
+
+HIST_LAYER = "blocks.0.attn.q"
+
+
+def toolchain() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def run_pipeline(root: Path) -> dict[str, str]:
+    """Run the pipeline in `root`; the SHA-256 of every file it wrote and
+    of everything it printed, by name."""
+    root.mkdir(parents=True, exist_ok=True)
+    with open(default_corpus_path(), "rb") as fh:
+        (root / "corpus.txt").write_bytes(fh.read(8192))
+    (root / "run.cfg").write_text(CONFIG)
+    (root / "pg.cfg").write_text(CONFIG + "quant.clip_granularity = per-group\n")
+
+    def cli(*argv, config="run.cfg"):
+        argv = [argv[0], "--config", str(root / config),
+                "--corpus", str(root / "corpus.txt"), *argv[1:]]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([a if not a.endswith(".ckpt") else str(root / a) for a in argv])
+        assert code == 0, argv
+        return out.getvalue()
+
+    printed = [cli("pretrain", "--out", "base.ckpt")]
+    for method in ("rtn", "qlora", "loftq", "apiq-lw", "apiq-bw"):
+        cli("quantize", "--in", "base.ckpt", "--method", method, "--bits", "2",
+            "--out", f"{method}2.ckpt")
+    cli("quantize", "--in", "base.ckpt", "--method", "apiq-bw", "--bits", "4",
+        "--out", "apiq-bw4g.ckpt", config="pg.cfg")
+    printed.append(cli("finetune", "--in", "apiq-bw2.ckpt", "--out", "ft.ckpt"))
+    printed.append(cli("eval", "--in", "ft.ckpt", "--profile-against", "base.ckpt",
+                       "--hist", HIST_LAYER))
+
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(root.iterdir()) if p.suffix in (".ckpt", ".tsv")}
+    digests["stdout"] = hashlib.sha256("".join(printed).encode()).hexdigest()
+    return digests
+
+
+def test_pipeline_bytes_match_manifest(tmp_path):
+    golden = json.loads(MANIFEST.read_text())
+    first = run_pipeline(tmp_path / "a")
+    assert run_pipeline(tmp_path / "b") == first, \
+        "two runs in one process wrote different bytes"
+    assert toolchain() == golden["toolchain"], (
+        f"the manifest was recorded with {golden['toolchain']}, this is "
+        f"{toolchain()}: output bytes are only defined for one numpy and BLAS "
+        f"build; rewrite the manifest with `python tests/test_golden.py` on "
+        f"the parent commit first")
+    assert sorted(first) == sorted(golden["sha256"])
+    changed = [name for name in first if first[name] != golden["sha256"][name]]
+    assert not changed, f"bytes differ from the golden manifest: {changed}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = run_pipeline(Path(tmp))
+    MANIFEST.write_text(json.dumps({"toolchain": toolchain(), "sha256": digests},
+                                   indent=2, sort_keys=True) + "\n")
+    print(f"wrote {MANIFEST}")
