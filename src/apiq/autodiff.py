@@ -3,7 +3,9 @@
 Ops compute with numpy and, while a Tape is active, append a backward
 closure to it; `backward` replays the closures in exact reverse recording
 order, so gradients are deterministic. With no active tape the same ops
-run as plain (cheap) forward computation.
+run as plain (cheap) forward computation. Each entry's closure is released
+once it has run (its op name stays), so the arrays it saved and the grads
+of the Vars only it held are freed as the walk goes back.
 
 `round_ste` is the straight-through estimator: forward rounds, backward is
 the identity. For finite-difference verification the `surrogate_round`
@@ -111,7 +113,9 @@ def backward(tape: Tape, loss: Var):
         raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
     tape.consumed = True
     loss.accum(np.ones_like(loss.value))
-    for _, fn in reversed(tape.entries):
+    for i in reversed(range(len(tape.entries))):
+        name, fn = tape.entries[i]
+        tape.entries[i] = (name, None)
         fn()
 
 

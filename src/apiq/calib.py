@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, InputError, NumericError
 from .linalg import group_minmax, truncated_svd
 from .model import (Block, Linear, LoraPair, ModelConfig, QuantState,
                     TinyTransformer, forward_block, linear_apply)
@@ -76,10 +76,15 @@ class CalibSet:
 
 def sample_calib(corpus_tokens: np.ndarray, n_samples: int, seq_len: int,
                  seed: int) -> CalibSet:
-    """Deterministically sample fixed-length windows from the corpus."""
+    """Deterministically sample fixed-length windows from the corpus. The
+    set may hold no more tokens than the corpus, which bounds the buffers
+    that calibration allocates per sample."""
     corpus_tokens = np.asarray(corpus_tokens)
     if len(corpus_tokens) < seq_len:
-        raise ConfigError(f"corpus shorter than one window ({seq_len} tokens)")
+        raise InputError(f"corpus shorter than one window ({seq_len} tokens)")
+    if n_samples * seq_len > len(corpus_tokens):
+        raise InputError(f"{n_samples} samples of {seq_len} tokens exceed the "
+                         f"corpus of {len(corpus_tokens)} tokens")
     rng = RngState(seed).derive(0xCA11B)
     starts = rng.randint(0, len(corpus_tokens) - seq_len + 1, (n_samples,))
     rows = np.stack([corpus_tokens[s:s + seq_len] for s in starts])

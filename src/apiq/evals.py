@@ -1,6 +1,7 @@
 """Diagnostics: perplexity, activation-error depth profiles, weight-error
 reports, and tensor histograms. Reports serialize to TSV (UTF-8, tab
-separated, newline terminated, header row first)."""
+separated, newline terminated, header row first). The activation profile
+walks the two models block by block, as `quantize_model` walks X and X^q."""
 
 from __future__ import annotations
 
@@ -10,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Var, log_softmax_nll, matmul
-from .errors import ConfigError, InputError, NumericError, ShapeError
-from .model import Linear, TinyTransformer, linear_apply
+from .errors import ConfigError, InputError, NumericError
+from .model import Linear, TinyTransformer, forward_block, linear_apply
 
 
 # Perplexity forwards at most PPL_STEP_TOKENS tokens at a time, so that its
@@ -75,8 +76,9 @@ def _block_index(layer_name: str) -> int:
 
 
 def _check_same_structure(a: TinyTransformer, b: TinyTransformer) -> None:
+    """Two models given by the user must share one geometry."""
     if a.config != b.config:
-        raise ShapeError("models differ structurally")
+        raise InputError(f"models differ structurally: {a.config} against {b.config}")
 
 
 def activation_error_profile(full_model: TinyTransformer,
@@ -84,30 +86,30 @@ def activation_error_profile(full_model: TinyTransformer,
                              tokens: np.ndarray) -> ErrorReport:
     """Per-layer Frobenius norm of the output difference divided by the
     token count, with each path propagated end to end (so errors from
-    shallower layers accumulate into deeper entries)."""
+    shallower layers accumulate into deeper entries). The two paths walk
+    the blocks together, so one block's full-precision layer outputs are
+    held at a time; the LM head is never run."""
     _check_same_structure(full_model, quant_model)
-    tokens = np.asarray(tokens)
-    if tokens.ndim == 1:
-        tokens = tokens[None, :]
-    n_tokens = tokens.shape[0] * tokens.shape[1]
-
-    def layer_outputs(model: TinyTransformer) -> list[tuple[str, np.ndarray]]:
-        outs = []
-
-        def hook(layer: Linear, x):
-            y = linear_apply(layer, x)
-            outs.append((layer.name, y.value))
-            return y
-
-        model.forward(tokens, hook=hook)
-        return outs
-
+    n_tokens = np.asarray(tokens).size
+    y_full: dict[str, np.ndarray] = {}
     records = []
-    for (name, y_f), (_, y_q) in zip(layer_outputs(full_model),
-                                     layer_outputs(quant_model)):
-        diff = y_f.astype(np.float64) - y_q.astype(np.float64)
-        value = float(np.sqrt((diff * diff).sum())) / n_tokens
-        records.append(ErrorRecord(layer=name, block=_block_index(name), value=value))
+
+    def record(layer: Linear, x: Var) -> Var:
+        y = linear_apply(layer, x)
+        y_full[layer.name] = y.value
+        return y
+
+    def compare(layer: Linear, x: Var) -> Var:
+        y = linear_apply(layer, x)
+        diff = y_full.pop(layer.name).astype(np.float64) - y.value.astype(np.float64)
+        records.append(ErrorRecord(layer=layer.name, block=_block_index(layer.name),
+                                   value=float(np.sqrt((diff * diff).sum())) / n_tokens))
+        return y
+
+    x_f, x_q = full_model.embed_tokens(tokens), quant_model.embed_tokens(tokens)
+    for block_f, block_q in zip(full_model.blocks, quant_model.blocks):
+        x_f = forward_block(block_f, x_f, full_model.config, hook=record)
+        x_q = forward_block(block_q, x_q, quant_model.config, hook=compare)
     return ErrorReport(kind="activation-per-token", records=records)
 
 

@@ -5,12 +5,14 @@ tensors in the order of `TinyTransformer.named_tensors()`, the one place
 that defines their names and order. A quantized layer contributes
 "<layer>.qcodes" / ".scale" / ".zero" (plus ".gamma" / ".beta" when its
 clipping was learned) instead of "<layer>.weight"; an attached adapter
-adds ".lora_a" / ".lora_b".
+adds ".lora_a" / ".lora_b". `load_model` accepts a file only if its
+names, in order, are those `save_model` writes for the model it built.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 
@@ -70,8 +72,10 @@ def save_model(model: TinyTransformer, path) -> None:
 
 def load_model(path) -> TinyTransformer:
     """Rebuild a model from a checkpoint, checking every tensor against the
-    shape its config implies; any mismatch raises `FormatError`."""
-    tensors = dict(load_tensors(path))
+    shape its config implies and the stored names against those
+    `save_model` writes for the model; any mismatch raises `FormatError`."""
+    stored = load_tensors(path)
+    tensors = dict(stored)
     fields = dataclasses.fields(ModelConfig)
     c = _header(tensors, "config", len(fields))
     m = _header(tensors, "quant.meta", 4) if "quant.meta" in tensors else None
@@ -100,7 +104,19 @@ def load_model(path) -> TinyTransformer:
             _load_layer(owner, tensors, spec, alpha)
         else:
             setattr(owner, attr, _req(tensors, name, getattr(owner, attr).shape))
+    _check_names([name for name, _ in stored], model)
     return model
+
+
+def _check_names(names: list[str], model: TinyTransformer) -> None:
+    """The stored names, in order, must be those `save_model` writes."""
+    try:
+        expected = [name for name, _ in model_entries(model)]
+    except ValueError as exc:
+        raise FormatError(f"checkpoint cannot be saved again: {exc}") from exc
+    for i, (got, want) in enumerate(itertools.zip_longest(names, expected)):
+        if got != want:
+            raise FormatError(f"tensor {i} is {got!r}, where save_model writes {want!r}")
 
 
 def _integral(header: str, name: str, v: float) -> int:

@@ -123,7 +123,7 @@ def load_config(path: str | None, overrides: dict[str, str] | None = None) -> di
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     cfg = parse_config(text)
     for key, raw in (overrides or {}).items():

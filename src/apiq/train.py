@@ -109,14 +109,15 @@ def _step(model: TinyTransformer, opt: AdamW, params: list[np.ndarray],
     arrays bound by identity; returns the loss. A non-finite loss raises
     NumericError naming `what`.
 
-    A step allocates and frees about 10 MB of buffers; `cli.main` keeps
-    freed heap memory in the process, so the next step reuses it instead
-    of faulting it back in.
+    Only the tape holds the forward's intermediates, and `backward` frees
+    each entry's saved arrays as it goes back, so a step at the default
+    shapes peaks at about 18 MiB; `cli.main` keeps freed heap memory in the
+    process, so the next step reuses it instead of faulting it back in.
     """
     trainable = {id(a): ad.param(a) for a in params}
     with ad.Tape() as tape:
-        logits = model.forward(window[:, :-1], trainable=trainable)
-        loss = ad.cross_entropy(logits, window[:, 1:])
+        loss = ad.cross_entropy(model.forward(window[:, :-1], trainable=trainable),
+                                window[:, 1:])
     if not np.isfinite(loss.value):
         raise NumericError(f"non-finite {what}")
     ad.backward(tape, loss)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -371,6 +372,37 @@ def test_backward_twice_raises():
     with ad.Tape() as tape:
         loss = ad.mse(x, np.zeros(2))
     ad.backward(tape, loss)
+    with pytest.raises(StateError):
+        ad.backward(tape, loss)
+
+
+def test_backward_frees_entries_and_keeps_leaf_grads():
+    """Each closure is released once it has run: the tape keeps its op
+    names, an intermediate only the tape held is freed, and the leaf grads
+    are the bytes of a replay that frees nothing."""
+    r = RngState(4)
+    xv, wv, target = r.randn((5, 3)), r.randn((3, 2)), r.randn((5, 2))
+
+    def record():
+        x, w = ad.param(xv), ad.param(wv)
+        with ad.Tape() as tape:
+            h = ad.silu(ad.matmul(x, w))
+            loss = ad.mse(ad.add(h, h), target)
+        return tape, loss, x, w, weakref.ref(h.value)
+
+    ref_tape, ref_loss, x_ref, w_ref, _ = record()
+    ref_loss.accum(np.ones_like(ref_loss.value))
+    for _, fn in reversed(ref_tape.entries):
+        fn()
+
+    tape, loss, x, w, h_value = record()
+    assert h_value() is not None
+    ad.backward(tape, loss)
+    assert h_value() is None
+    assert [op for op, _ in tape.entries] == ["matmul", "silu", "add", "mse"]
+    assert all(fn is None for _, fn in tape.entries)
+    for leaf, ref in ((x, x_ref), (w, w_ref)):
+        assert leaf.grad.tobytes() == ref.grad.tobytes()
     with pytest.raises(StateError):
         ad.backward(tape, loss)
 

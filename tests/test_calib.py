@@ -7,7 +7,7 @@ from apiq import autodiff as ad
 from apiq.calib import (AdamW, CalibPlan, apiq_bw_block, apiq_lw_layer,
                         loftq_init, quantize_model, rtn_or_qlora_init,
                         sample_calib)
-from apiq.errors import ConfigError, NumericError
+from apiq.errors import ConfigError, InputError, NumericError
 from apiq.evals import activation_error_profile
 from apiq.linalg import group_minmax
 from apiq.model import (Linear, ModelConfig, TinyTransformer, forward_block,
@@ -86,6 +86,15 @@ class TestPlanAndData:
         for lr in (float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="lr_lora"):
                 CalibPlan(lr_lora=lr)
+
+    def test_sample_calib_bounded_by_corpus(self):
+        corpus = np.arange(100)
+        assert sample_calib(corpus, 2, 50, seed=0).tokens.shape == (2, 50)
+        # 102 tokens, one sample more than the corpus holds; and a corpus
+        # shorter than one window
+        for samples, seq_len in ((3, 34), (1, 101)):
+            with pytest.raises(InputError):
+                sample_calib(corpus, samples, seq_len, seed=0)
 
     def test_sample_calib_deterministic(self):
         corpus = _toy_corpus()

@@ -377,6 +377,20 @@ class TestEval:
                      "--report-prefix", str(ws / "once")]) == 0
         assert reads == [str(quantized), str(pretrained)]
 
+    def test_profile_shape_mismatch_exit_3(self, ws, pretrained, capsys):
+        small = ws / "small.ckpt"
+        cfg = ws / "small.cfg"
+        cfg.write_text(CONFIG_TEXT + "model.d_model = 16\npretrain.steps = 0\n")
+        assert main(["pretrain", "--config", str(cfg), "--corpus",
+                     str(ws / "corpus.txt"), "--out", str(small)]) == 0
+        assert main(["eval", "--config", str(ws / "run.cfg"), "--in", str(small),
+                     "--corpus", str(ws / "corpus.txt"),
+                     "--profile-against", str(pretrained),
+                     "--report-prefix", str(ws / "mismatch")]) == 3
+        err = capsys.readouterr().err
+        assert "d_model=32" in err and "d_model=16" in err
+        assert list(ws.glob("mismatch.*")) == []
+
     def test_quantized_codes_survive_cli_roundtrip(self, ws, quantized):
         model = model_io.load_model(quantized)
         entries = dict(load_tensors(quantized))
@@ -439,6 +453,31 @@ def test_out_of_range_count_exit_2_before_work(ws, pretrained, quantized, capsys
     assert main(_stage_argv(command, cfg, ws, out, pretrained, quantized)) == 2
     assert key in capsys.readouterr().err
     assert list(ws.glob("range.ckpt*")) == []
+
+
+def test_non_utf8_config_exit_2(ws, capsys):
+    cfg = ws / "latin.cfg"
+    cfg.write_bytes(b"\xff\xfe")
+    assert main(["pretrain", "--config", str(cfg), "--corpus", str(ws / "corpus.txt"),
+                 "--out", str(ws / "latin.ckpt")]) == 2
+    assert "latin.cfg" in capsys.readouterr().err
+    assert list(ws.glob("latin.ckpt*")) == []
+
+
+# calib.seq_len is 64: the corpus holds 4 windows of it, or less than one
+@pytest.mark.parametrize("corpus_len,samples,named", [(256, 5, "5 samples of 64"),
+                                                      (63, 1, "one window")])
+def test_calib_set_larger_than_corpus_exit_3(ws, pretrained, capsys, corpus_len,
+                                             samples, named):
+    corpus = ws / f"corpus{corpus_len}.txt"
+    corpus.write_bytes((ws / "corpus.txt").read_bytes()[:corpus_len])
+    cfg = ws / "samples.cfg"
+    cfg.write_text(CONFIG_TEXT + f"calib.samples = {samples}\n")
+    out = ws / "calib.ckpt"
+    assert main(["quantize", "--config", str(cfg), "--in", str(pretrained),
+                 "--method", "apiq-bw", "--corpus", str(corpus), "--out", str(out)]) == 3
+    assert named in capsys.readouterr().err
+    assert list(ws.glob("calib.ckpt*")) == []
 
 
 def test_every_dotted_flag_is_a_config_key():
@@ -607,3 +646,34 @@ class TestCorruptCheckpoints:
         assert main(["eval", "--in", str(bad),
                      "--corpus", str(ws / "corpus.txt")]) == 3
         assert "'blocks.0.attn.q.weight'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,named", [
+        # the adapter's lora_a dropped, its lora_b kept, and an unknown tensor
+        (lambda n, t: [] if n == "blocks.0.attn.q.lora_a"
+         else [(n, t)] + ([("junk.tensor", t)] if n == "final_norm.weight" else []),
+         "'blocks.0.attn.q.lora_b'"),
+        (lambda n, t: [(n, t)] + ([("junk.tensor", t)] if n == "final_norm.weight" else []),
+         "'junk.tensor'"),
+        (lambda n, t: [(n, t)] * (2 if n == "embed.weight" else 1), "'embed.weight'"),
+    ], ids=["lora_a-dropped-junk-added", "junk-added", "duplicate"])
+    def test_names_save_would_not_write_exit_3(self, ws, quantized, capsys, edit,
+                                                named):
+        bad = ws / "names.ckpt"
+        save_tensors(bad, [e for n, t in load_tensors(quantized) for e in edit(n, t)])
+        assert main(["eval", "--config", str(ws / "run.cfg"), "--in", str(bad),
+                     "--corpus", str(ws / "corpus.txt")]) == 3
+        assert named in capsys.readouterr().err
+
+    def test_mixed_adapter_alphas_exit_3(self, ws, quantized, capsys):
+        # with a quant.meta alpha of -1 each adapter's alpha is its rank;
+        # save_model writes no file with two alphas, so none loads
+        def edit(n, t):
+            if n == "quant.meta":
+                return np.array([*t[:3], -1.0])
+            return t[:, :2] if n.startswith("blocks.0.attn.q.lora_") else t
+
+        bad = ws / "alphas.ckpt"
+        save_tensors(bad, [(n, edit(n, t)) for n, t in load_tensors(quantized)])
+        assert main(["eval", "--config", str(ws / "run.cfg"), "--in", str(bad),
+                     "--corpus", str(ws / "corpus.txt")]) == 3
+        assert "mixed adapter alphas" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from apiq.errors import ConfigError, InputError
 from apiq.evals import (activation_error_profile, histogram_export,
                         histograms_to_tsv, perplexity, report_to_tsv,
                         weight_error_report)
-from apiq.model import ModelConfig, TinyTransformer
+from apiq.model import ModelConfig, TinyTransformer, linear_apply
 from apiq.quant import QuantSpec
 from apiq.rng import RngState
 from apiq.runconfig import default_corpus_path, load_corpus
@@ -145,6 +145,34 @@ class TestActivationProfile:
         direct = np.linalg.norm(full - quant)
         closed = np.linalg.norm(x @ (w0 @ d1 + d0 @ w1 - d0 @ d1))
         assert np.isclose(direct, closed, rtol=1e-9)
+
+    def test_same_bits_as_two_whole_forwards(self):
+        """Walking both models block by block gives the records of one
+        whole forward per model, on a quantized model with adapters."""
+        m = TinyTransformer.init(CFG, seed=12)
+        corpus = RngState(13).randint(0, 256, (4096,))
+        calib = sample_calib(corpus, 4, 32, seed=2)
+        qm, _ = quantize_model(m, calib, CalibPlan(method="loftq", loftq_iters=1),
+                               QuantSpec(bits=2, group=16), rank=4)
+
+        def layer_outputs(model):
+            outs = []
+
+            def hook(layer, x):
+                y = linear_apply(layer, x)
+                outs.append((layer.name, y.value))
+                return y
+
+            model.forward(calib.tokens, hook=hook)
+            return outs
+
+        expected = []
+        for (name, y_f), (_, y_q) in zip(layer_outputs(m), layer_outputs(qm)):
+            diff = y_f.astype(np.float64) - y_q.astype(np.float64)
+            expected.append((name, int(name.split(".")[1]),
+                             repr(float(np.sqrt((diff * diff).sum())) / calib.tokens.size)))
+        rep = activation_error_profile(m, qm, calib.tokens)
+        assert [(r.layer, r.block, repr(r.value)) for r in rep.records] == expected
 
     def test_deterministic(self):
         m = TinyTransformer.init(CFG, seed=10)

@@ -13,6 +13,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 # apiq before numpy: the package fixes the BLAS thread count on import,
@@ -99,6 +102,26 @@ def test_pipeline_bytes_match_manifest(tmp_path):
     assert sorted(first) == sorted(golden["sha256"])
     changed = [name for name in first if first[name] != golden["sha256"][name]]
     assert not changed, f"bytes differ from the golden manifest: {changed}"
+
+
+def test_pipeline_bytes_independent_of_hash_seed(tmp_path):
+    """A fresh interpreter with another PYTHONHASHSEED writes the bytes of
+    this process: no output depends on string hashing, object ids (the
+    id-keyed `trainable` maps) or what the process ran before."""
+    import apiq
+
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    path = [str(Path(__file__).parent), str(Path(apiq.__file__).parents[1]),
+            os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONHASHSEED": seed,
+           "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    script = ("import json, sys; from pathlib import Path; "
+              "from test_golden import run_pipeline; "
+              "print(json.dumps(run_pipeline(Path(sys.argv[1]))))")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "child")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == run_pipeline(tmp_path / "parent")
 
 
 if __name__ == "__main__":
