@@ -17,6 +17,15 @@ gradient of.
 ATTN_BLOCK_MAX_T positions it runs per block of query rows, taped or not,
 with the bits of the one-block computation: masked blocks cost nothing,
 and the backward keeps only each block's probabilities.
+
+A taped op keeps its inputs and output and little more: attention its
+probabilities, `cross_entropy` its shifted exponentials and their row
+sums; rotated q and k and the sigmoid of `silu` are recomputed. One
+rotary kernel serves `rope_rotate` and attention, on the layout each has:
+y = x*C + swap_pairs(x)*S, C = (cos, cos) and S = (-sin, sin) per pair,
+and g*C - swap_pairs(g)*S backward. It has the bits of the pairwise
+(ev cos - od sin, ev sin + od cos) and its transpose, as a - b is
+a + (-b), -(a * b) is (-a) * b and addition commutes.
 """
 
 from __future__ import annotations
@@ -258,12 +267,16 @@ def sigmoid(a) -> Var:
 
 def silu(a) -> Var:
     a = _wrap(a)
-    sig = sigmoid_fwd(a.value)
-    out = Var(a.value * sig)
+    out = Var(a.value * sigmoid_fwd(a.value))
 
     def back():
         if a.requires_grad:
-            a.accum(out.grad * (sig * (1.0 + a.value * (1.0 - sig))))
+            sig = sigmoid_fwd(a.value)
+            d = np.subtract(1.0, sig)  # g * (sig * (1 + x * (1 - sig)))
+            d *= a.value
+            d += 1.0
+            d *= sig
+            a.accum(np.multiply(d, out.grad, out=d))
 
     return _record("silu", out, (a,), back)
 
@@ -340,12 +353,17 @@ def rmsnorm(a, gain) -> Var:
 
     def back():
         g = out.grad
-        if a.requires_grad:
+        if a.requires_grad:  # u * r - x * r**3 * (sum(u * x) / d), u = g * gain
             u = g * gain.value
-            d = x.shape[-1]
-            a.accum(u * r - x * (r ** 3) * ((u * x).sum(axis=-1, keepdims=True) / d))
+            t = u * x
+            dot = t.sum(axis=-1, keepdims=True) / x.shape[-1]
+            np.multiply(np.multiply(x, r ** 3, out=t), dot, out=t)
+            u *= r
+            u -= t
+            a.accum(u)
         if gain.requires_grad:
-            gg = g * x * r
+            gg = g * x
+            gg *= r
             gain.accum(gg.reshape(-1, gg.shape[-1]).sum(axis=0))
 
     return _record("rmsnorm", out, (a, gain), back)
@@ -367,30 +385,35 @@ def embedding(table, ids: np.ndarray) -> Var:
     return _record("embedding", out, (table,), back)
 
 
-def _rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    ev, od = x[..., 0::2], x[..., 1::2]
-    y = np.empty_like(x)
-    y[..., 0::2] = ev * cos - od * sin
-    y[..., 1::2] = ev * sin + od * cos
-    return y
+def _pair_tables(cos: np.ndarray, sin: np.ndarray, reps: int = 1):
+    """(t, reps * 2 * pairs) tables C and S of `_rotate_pairs` for the
+    (t, pairs) cos and sin: each pair of C is (cos, cos) and of S
+    (-sin, sin), tiled `reps` times (once per head)."""
+    c = np.tile(np.repeat(cos, 2, axis=-1), reps)
+    s = np.tile(np.stack((-sin, sin), axis=-1).reshape(c.shape[:-1] + (-1,)), reps)
+    return c, s
 
 
-def _rope_back(g: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    ge, go = g[..., 0::2], g[..., 1::2]
-    da = np.empty_like(g)
-    da[..., 0::2] = ge * cos + go * sin
-    da[..., 1::2] = -ge * sin + go * cos
-    return da
+def _rotate_pairs(x: np.ndarray, c: np.ndarray, s: np.ndarray, op) -> np.ndarray:
+    """op(x * C, swap_pairs(x) * S) in x's dtype: the rotary kernel."""
+    sw = np.empty_like(x, dtype=np.result_type(x, s))
+    sw[..., 0::2] = x[..., 1::2]
+    sw[..., 1::2] = x[..., 0::2]
+    sw *= s
+    y = x * c
+    op(y, sw, out=y)
+    return y.astype(x.dtype, copy=False)
 
 
 def rope_rotate(a, cos: np.ndarray, sin: np.ndarray) -> Var:
     """Rotate interleaved (even, odd) pairs of the last axis by per-position
     angles; cos/sin are (t, d/2) constants broadcast over leading dims."""
     a = _wrap(a)
-    out = Var(_rope(a.value, cos, sin))
+    c, s = _pair_tables(cos, sin)
+    out = Var(_rotate_pairs(a.value, c, s, np.add))
 
     def back():
-        a.accum(_rope_back(out.grad, cos, sin))
+        a.accum(_rotate_pairs(out.grad, c, s, np.subtract))
 
     return _record("rope_rotate", out, (a,), back)
 
@@ -462,16 +485,17 @@ def causal_attention(q, k, v, n_heads: int, cos: np.ndarray,
     def heads(x):
         return x.reshape(n, t, n_heads, hd).transpose(0, 2, 1, 3)
 
-    def merge(x):
-        return x.transpose(0, 2, 1, 3).reshape(n, t, d)
-
     def merged(dtype):
         """An (n, t, d) buffer and its (n, h, t, hd) heads view."""
         buf = np.empty((n, t, d), dtype=dtype)
         return buf, heads(buf)
 
-    qr = _rope(heads(q.value), cos, sin)
-    kr = _rope(heads(k.value), cos, sin)
+    tables = _pair_tables(cos, sin, n_heads)
+
+    def rotated(x):
+        return heads(_rotate_pairs(x.value, *tables, np.add))
+
+    qr, kr = rotated(q), rotated(k)
     vh = heads(v.value)
     taped = _active_tape is not None and any(x.requires_grad for x in (q, k, v))
     blocks = _attention_blocks(t)
@@ -503,17 +527,19 @@ def causal_attention(q, k, v, n_heads: int, cos: np.ndarray,
             dp *= c
             ds.append(dp)
         if k.requires_grad:
+            qr = rotated(q)
             dk, dk_h = merged(np.result_type(qr, ds[0]))
             for b, (j0, j1) in enumerate(blocks):
                 dk_h[:, :, j0:j1] = np.swapaxes(
                     np.swapaxes(qr[:, :, j0:], -1, -2) @ _key_slab(ds, b, j0, j1),
                     -1, -2)
-            k.accum(merge(_rope_back(dk_h, cos, sin)))
+            k.accum(_rotate_pairs(dk, *tables, np.subtract))
         if q.requires_grad:
+            kr = rotated(k)
             dq, dq_h = merged(np.result_type(ds[0], kr))
             for (i0, i1), dsb in zip(blocks, ds):
                 dq_h[:, :, i0:i1] = dsb @ kr[:, :, :i1]
-            q.accum(merge(_rope_back(dq_h, cos, sin)))
+            q.accum(_rotate_pairs(dq, *tables, np.subtract))
 
     return _record("causal_attention", out, (q, k, v), back)
 
@@ -602,34 +628,37 @@ def mse(a, b) -> Var:
     return _record("mse", out, (a, b), back)
 
 
-def log_softmax_nll(logits: np.ndarray, targets: np.ndarray,
-                    overwrite: bool = False) -> np.ndarray:
-    """Per-row negative log-likelihood from raw logits (max-subtracted
-    log-sum-exp). logits (N, V), targets (N,) ints; returns (N,) in the
-    logits dtype. With `overwrite` the logits are the scratch buffer."""
+def _softmax_nll(logits: np.ndarray, targets: np.ndarray, overwrite: bool = False):
+    """Per-row negative log-likelihood (N,) from raw logits (N, V) and int
+    targets (N,) by a max-subtracted log-sum-exp, in the logits dtype, with
+    the shifted exponentials (N, V) and their row sums (N,) it came from.
+    With `overwrite` the logits are the scratch buffer."""
     z = np.subtract(logits, logits.max(axis=-1, keepdims=True),
                     out=logits if overwrite else None)
     picked = z[np.arange(z.shape[0]), targets]
-    lse = np.log(np.exp(z, out=z).sum(axis=-1))
-    return lse - picked
+    sums = np.exp(z, out=z).sum(axis=-1)
+    return np.log(sums) - picked, z, sums
+
+
+def log_softmax_nll(logits: np.ndarray, targets: np.ndarray, overwrite: bool = False):
+    """The per-row negative log-likelihood of `_softmax_nll`."""
+    return _softmax_nll(logits, targets, overwrite)[0]
 
 
 def cross_entropy(logits, targets: np.ndarray) -> Var:
     """Mean token-level cross-entropy; logits (..., V), int targets (...)."""
     logits = _wrap(logits)
     v = logits.value.shape[-1]
-    flat = logits.value.reshape(-1, v)
     tgt = np.asarray(targets).reshape(-1)
-    nll = log_softmax_nll(flat, tgt)
-    out = Var(np.asarray(nll.mean(), dtype=flat.dtype))
+    nll, e, sums = _softmax_nll(logits.value.reshape(-1, v), tgt)
+    out = Var(np.asarray(nll.mean(), dtype=e.dtype))
 
     def back():
         if logits.requires_grad:
-            p = flat - flat.max(axis=-1, keepdims=True)
-            np.exp(p, out=p)
-            p /= p.sum(axis=-1, keepdims=True)
-            p[np.arange(p.shape[0]), tgt] -= 1.0
-            logits.accum((out.grad * p / p.shape[0]).reshape(logits.value.shape))
+            np.divide(e, sums[:, None], out=e)
+            e[np.arange(e.shape[0]), tgt] -= 1.0
+            np.multiply(e, out.grad, out=e)
+            logits.accum(np.divide(e, e.shape[0], out=e).reshape(logits.value.shape))
 
     return _record("cross_entropy", out, (logits,), back)
 

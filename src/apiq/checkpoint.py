@@ -140,7 +140,10 @@ def load_tensors(path) -> list[Entry]:
     entries: list[Entry] = []
     for _ in range(count):
         name_len = r.u32("name length")
-        name = r.take(name_len, "name").decode("utf-8")
+        try:
+            name = r.take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("tensor name is not UTF-8", offset=r.pos - name_len) from None
         code, aux = struct.unpack("<BB", r.take(2, "dtype"))
         rank = r.u32("rank")
         dims = tuple(r.u64("dim") for _ in range(rank))

@@ -223,7 +223,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InputError, FormatError, FileNotFoundError, KeyError) as exc:
+    except (InputError, FormatError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumericError as exc:

@@ -185,6 +185,8 @@ class TinyTransformer:
         return iter(self.layers.values())
 
     def find_layer(self, name: str) -> Linear:
+        if name not in self.layers:
+            raise InputError(f"no layer named {name!r}")
         return self.layers[name]
 
     def named_tensors(self):

@@ -7,6 +7,13 @@ that defines their names and order. A quantized layer contributes
 clipping was learned) instead of "<layer>.weight"; an attached adapter
 adds ".lora_a" / ".lora_b". `load_model` accepts a file only if its
 names, in order, are those `save_model` writes for the model it built.
+
+Non-finite values: the headers must be finite, and so must a layer's
+"scale" and "zero", which must also be values `quantize` writes (a scale
+>= SCALE_FLOOR, an integer zero in [0, qmax]); any other value fails the
+load (`FormatError`). A weight, norm, adapter or clipping logit may hold
+any value and loads as stored: a non-finite one fails, as a numeric
+error, the computation that reads it.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ import numpy as np
 from .checkpoint import Entry, load_tensors, save_tensors
 from .errors import ConfigError, FormatError
 from .model import Linear, LoraPair, ModelConfig, QuantState, TinyTransformer
-from .quant import GRANULARITIES, ClipParams, GroupParams, PackedCodes, QuantSpec
+from .quant import (GRANULARITIES, SCALE_FLOOR, ClipParams, GroupParams, PackedCodes,
+                    QuantSpec)
 
 
 def model_entries(model: TinyTransformer) -> list[Entry]:
@@ -176,6 +184,13 @@ def _load_layer(layer: Linear, tensors: dict, spec: QuantSpec | None,
         groups = (d1 // spec.group, d2)
         params = GroupParams(scale=_req(tensors, f"{n}.scale", groups),
                              zero=_req(tensors, f"{n}.zero", groups))
+        s, z = params.scale, params.zero
+        if not (np.isfinite(s) & (s >= SCALE_FLOOR)).all():
+            raise FormatError(f"tensor '{n}.scale' holds a value below {SCALE_FLOOR} "
+                              f"or not finite")
+        if not ((z == np.rint(z)) & (z >= 0) & (z <= spec.qmax)).all():
+            raise FormatError(f"tensor '{n}.zero' holds a value that is not an "
+                              f"integer in [0, {spec.qmax}]")
         clip = None
         if f"{n}.gamma" in tensors:
             clip_shape = ClipParams.init(spec, d1, d2).gamma.shape

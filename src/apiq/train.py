@@ -109,10 +109,12 @@ def _step(model: TinyTransformer, opt: AdamW, params: list[np.ndarray],
     arrays bound by identity; returns the loss. A non-finite loss raises
     NumericError naming `what`.
 
-    Only the tape holds the forward's intermediates, and `backward` frees
-    each entry's saved arrays as it goes back, so a step at the default
-    shapes peaks at about 18 MiB; `cli.main` keeps freed heap memory in the
-    process, so the next step reuses it instead of faulting it back in.
+    Only the tape holds the forward's intermediates, it keeps none that
+    its backward recomputes cheaply (rotated q/k, the SiLU gate's sigmoid),
+    and `backward` frees each entry's saved arrays as it goes back, so a
+    step at the default shapes peaks at about 14.5 MiB; `cli.main` keeps
+    freed heap memory in the process, so the next step reuses it instead
+    of faulting it back in.
     """
     trainable = {id(a): ad.param(a) for a in params}
     with ad.Tape() as tape:

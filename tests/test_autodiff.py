@@ -326,6 +326,112 @@ def test_causal_mask_is_cached_and_read_only():
 
 
 # ---------------------------------------------------------------------------
+# leaner backward passes against the literal formulas they replace
+# ---------------------------------------------------------------------------
+
+def _pairwise_rotate(x, cos, sin):
+    ev, od = x[..., 0::2], x[..., 1::2]
+    y = np.empty_like(x)
+    y[..., 0::2] = ev * cos - od * sin
+    y[..., 1::2] = ev * sin + od * cos
+    return y
+
+
+def _pairwise_rotate_back(g, cos, sin):
+    ge, go = g[..., 0::2], g[..., 1::2]
+    d = np.empty_like(g)
+    d[..., 0::2] = ge * cos + go * sin
+    d[..., 1::2] = -ge * sin + go * cos
+    return d
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("t", [1, 7, 33, 128, 130])
+def test_rotary_kernel_bitwise_equals_pairwise_formula(dtype, t):
+    """The one rotary kernel, forward and backward, on the heads layout of
+    `rope_rotate` and the merged (n, t, d) layout attention rotates in,
+    gives the bytes of the pairwise formula on each head."""
+    n, n_heads, hd = 3, 4, 16
+    r = RngState(500 + t)
+    x, g = (r.randn((n, t, n_heads * hd)).astype(dtype) for _ in range(2))
+    ang = r.uniform((t, hd // 2), 0, 6.28)
+    cos, sin = np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+
+    def heads(a):
+        return a.reshape(n, t, n_heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(a):
+        return a.transpose(0, 2, 1, 3).reshape(n, t, n_heads * hd)
+
+    fwd = _pairwise_rotate(heads(x), cos, sin)
+    back = _pairwise_rotate_back(heads(g), cos, sin)
+    out = ad.rope_rotate(heads(x), cos, sin).value
+    assert out.dtype == dtype and out.tobytes() == np.ascontiguousarray(fwd).tobytes()
+    for layout, reps, want_y, want_dx in ((heads, 1, fwd, back),
+                                          (lambda a: a, n_heads, merge(fwd), merge(back))):
+        tables = ad._pair_tables(cos, sin, reps)
+        for got, want in ((ad._rotate_pairs(layout(x), *tables, np.add), want_y),
+                          (ad._rotate_pairs(layout(g), *tables, np.subtract), want_dx)):
+            assert got.dtype == dtype
+            assert (np.ascontiguousarray(got).tobytes()
+                    == np.ascontiguousarray(want).tobytes()), (layout, reps)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("magnitude", [1.0, 1e4])
+def test_cross_entropy_bitwise_equals_recomputed_softmax(dtype, magnitude):
+    """The loss and gradient equal those of a backward that recomputes the
+    softmax from the logits, byte for byte, also for logits so large that
+    most exponentials underflow to zero."""
+    r = RngState(17)
+    logits = (r.randn((4, 40, 256)) * magnitude).astype(dtype)
+    targets = r.randint(0, 256, (4, 40))
+    flat, tgt = logits.reshape(-1, 256), targets.reshape(-1)
+    rows = np.arange(flat.shape[0])
+    z = flat - flat.max(axis=-1, keepdims=True)
+    want_loss = np.asarray((np.log(np.exp(z).sum(axis=-1)) - z[rows, tgt]).mean(),
+                           dtype=dtype)
+    p = flat - flat.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    p[rows, tgt] -= 1.0
+    want_grad = (np.ones_like(want_loss) * p / p.shape[0]).reshape(logits.shape)
+
+    x = ad.Var(logits.copy(), requires_grad=True)
+    with ad.Tape() as tape:
+        loss = ad.cross_entropy(x, targets)
+    ad.backward(tape, loss)
+    assert loss.value.dtype == x.grad.dtype == dtype
+    assert loss.value.tobytes() == want_loss.tobytes()
+    assert x.grad.tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_silu_and_rmsnorm_grads_bitwise_equal_formulas(dtype):
+    """The in-place backward of `silu` (sigmoid recomputed) and `rmsnorm`
+    gives the bytes of their one-expression formulas."""
+    r = RngState(19)
+    xv, gv, gain = (r.randn(shape).astype(dtype) for shape in ((6, 5, 32),) * 2 + ((32,),))
+    sig = ad.sigmoid_fwd(xv)
+    ms = (xv * xv).mean(axis=-1, keepdims=True)
+    rr = 1.0 / np.sqrt(ms + np.asarray(ad.RMSNORM_EPS, dtype=dtype))
+    u = gv * gain
+    want = {
+        "silu": [gv * (sig * (1.0 + xv * (1.0 - sig)))],
+        "rmsnorm": [u * rr - xv * (rr ** 3) * ((u * xv).sum(axis=-1, keepdims=True) / 32),
+                    (gv * xv * rr).reshape(-1, 32).sum(axis=0)],
+    }
+    for op, args in (("silu", ()), ("rmsnorm", (gain,))):
+        xs = [ad.Var(a.copy(), requires_grad=True) for a in (xv, *args)]
+        with ad.Tape() as tape:
+            out = getattr(ad, op)(*xs)
+        out.grad = gv
+        tape.entries[-1][1]()
+        for got, expected in zip([v.grad for v in xs], want[op]):
+            assert got.dtype == dtype and got.tobytes() == expected.tobytes(), op
+
+
+# ---------------------------------------------------------------------------
 # analytic spot checks
 # ---------------------------------------------------------------------------
 

@@ -71,6 +71,16 @@ class TestRawFormat:
             load_tensors(p)
         assert exc.value.offset == 0
 
+    def test_non_utf8_name_reports_offset(self, tmp_path):
+        p = tmp_path / "t.ckpt"
+        save_tensors(p, [("x", np.zeros((2,), dtype=np.float32))])
+        blob = bytearray(p.read_bytes())
+        blob[20] = 0xFF  # the name's first byte, after magic, version, count, length
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="not UTF-8") as exc:
+            load_tensors(p)
+        assert exc.value.offset == 20
+
     def test_truncation_reports_offset(self, tmp_path):
         p = tmp_path / "t.ckpt"
         save_tensors(p, [("x", np.zeros((64,), dtype=np.float32))])

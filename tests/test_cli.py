@@ -336,6 +336,16 @@ class TestEval:
                      "--corpus", str(ws / "corpus.txt"),
                      "--hist", "blocks.9.attn.q"]) == 3
 
+    def test_key_error_in_command_propagates(self, ws, quantized, monkeypatch):
+        """Only the package's input errors exit 3: a KeyError is a fault in
+        the program and ends in its traceback."""
+        def fail(path):
+            raise KeyError("a bug")
+
+        monkeypatch.setattr(model_io, "load_model", fail)
+        with pytest.raises(KeyError, match="a bug"):
+            main(["eval", "--in", str(quantized), "--corpus", str(ws / "corpus.txt")])
+
     @pytest.mark.parametrize("chunk_len", ["0", "1", "-5"])
     def test_bad_chunk_len_flag_exit_2(self, ws, pretrained, capsys, chunk_len):
         assert main(["eval", "--config", str(ws / "run.cfg"),
@@ -597,6 +607,29 @@ class TestCorruptCheckpoints:
         assert main(["eval", "--in", str(bad),
                      "--corpus", str(ws / "corpus.txt")]) == 3
         assert "bit width 5" in capsys.readouterr().err
+
+    def test_non_utf8_tensor_name_exit_3(self, ws, pretrained, capsys):
+        blob = bytearray(pretrained.read_bytes())
+        at = blob.index(b"embed.weight")
+        blob[at] = 0xFF
+        bad = ws / "utf8.ckpt"
+        bad.write_bytes(bytes(blob))
+        assert main(["eval", "--in", str(bad),
+                     "--corpus", str(ws / "corpus.txt")]) == 3
+        assert f"tensor name is not UTF-8 (at byte offset {at})" in capsys.readouterr().err
+
+    # values `quantize` never writes: a scale below SCALE_FLOOR or not
+    # finite, a zero-point off the integer grid [0, qmax]
+    @pytest.mark.parametrize("suffix,value", [("scale", -1.0), ("scale", np.nan),
+                                              ("zero", 1e9), ("zero", 0.5)])
+    def test_quantizer_value_quantize_never_writes_exit_3(self, ws, quantized, capsys,
+                                                          suffix, value):
+        name = f"blocks.0.attn.q.{suffix}"
+        bad = _tampered(quantized, ws / "qparam.ckpt", name,
+                        lambda t: t.__setitem__((0, 0), value))
+        assert main(["eval", "--in", str(bad),
+                     "--corpus", str(ws / "corpus.txt")]) == 3
+        assert f"tensor '{name}' holds a value" in capsys.readouterr().err
 
     # quant.meta = [bits, group, granularity flag, adapter alpha]
     @pytest.mark.parametrize("index,value,named", [(0, 2.5, "bits 2.5"),

@@ -302,7 +302,7 @@ class TestRegistry:
         ad.backward(tape, loss)
         assert all(v.grad is not None for v in trainable.values())
 
-    def test_find_unknown_layer_raises_key_error(self):
+    def test_find_unknown_layer_raises_input_error(self):
         m = TinyTransformer.init(self.SMALL, seed=30)
-        with pytest.raises(KeyError):
+        with pytest.raises(InputError, match="'nope'"):
             m.find_layer("nope")
