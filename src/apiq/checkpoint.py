@@ -8,7 +8,7 @@ Layout (all integers little-endian):
     directory, one record per tensor, in file order:
         name_len u32, name utf-8 bytes
         dtype    u8   0 = f32, 1 = f64, 2 = packed-codes
-        aux      u8   bit width for packed-codes, else 0
+        aux      u8   bit width (2, 3, 4 or 8) for packed-codes, else 0
         rank     u32
         dims     rank x u64
         offset   u64  absolute file offset of the data
@@ -24,6 +24,7 @@ Saves are atomic: the bytes go to "<path>.tmp", which then replaces
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -31,7 +32,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import FormatError, InputError
-from .quant import PackedCodes
+from .quant import BITS, PackedCodes
 
 MAGIC = b"APIQCKPT"
 VERSION = 1
@@ -152,24 +153,29 @@ def load_tensors(path) -> list[Entry]:
         if offset + length > len(blob):
             raise FormatError(f"tensor {name!r} data out of bounds", offset=offset)
         payload = blob[offset:offset + length]
-        if code == 0:
-            arr = np.frombuffer(payload, dtype="<f4")
-            entries.append((name, _shaped(arr, dims, name, offset)))
-        elif code == 1:
-            arr = np.frombuffer(payload, dtype="<f8")
-            entries.append((name, _shaped(arr, dims, name, offset)))
+        if code in (0, 1):
+            dtype = np.dtype("<f4" if code == 0 else "<f8")
+            entries.append((name, _shaped(payload, dtype, dims, name, offset)))
         elif code == 2:
             if len(dims) != 2:
                 raise FormatError(f"packed tensor {name!r} must be rank 2", offset=offset)
-            entries.append((name, PackedCodes(data=payload, shape=dims, bits=aux)))
+            codes = PackedCodes(data=payload, shape=dims, bits=aux)
+            if aux not in BITS or length != dims[0] * codes.row_bytes:
+                raise FormatError(f"packed tensor {name!r} is not {dims} codes of a bit "
+                                  f"width in {BITS}", offset=offset)
+            entries.append((name, codes))
         else:
             raise FormatError(f"unknown dtype code {code} for {name!r}", offset=offset)
     return entries
 
 
-def _shaped(arr: np.ndarray, dims: tuple, name: str, offset: int) -> np.ndarray:
-    want = int(np.prod(dims)) if dims else 1
-    if arr.size != want:
-        raise FormatError(
-            f"tensor {name!r} length {arr.size} != shape {dims}", offset=offset)
-    return arr.reshape(dims).copy()
+def _shaped(payload: bytes, dtype: np.dtype, dims: tuple, name: str,
+            offset: int) -> np.ndarray:
+    if len(payload) != math.prod(dims) * dtype.itemsize:
+        raise FormatError(f"tensor {name!r} length {len(payload)} bytes != shape "
+                          f"{dims} of {dtype.name}", offset=offset)
+    try:
+        return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+    except ValueError:  # an extent numpy cannot hold, even of an empty array
+        raise FormatError(f"tensor {name!r} shape {dims} is too large",
+                          offset=offset) from None

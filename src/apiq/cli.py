@@ -99,10 +99,15 @@ def _keep_freed_memory() -> None:
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
-def _check_out(path: str) -> None:
-    """Reject an --out that is a directory before any work is done."""
-    if os.path.isdir(path):
+def _check_out(path: str, flag: str = "--out") -> None:
+    """Reject, before any work is done, an output path in a directory that
+    does not exist, and an --out that is a directory. A report prefix may
+    name a directory: its reports are written beside it."""
+    if flag == "--out" and os.path.isdir(path):
         raise ConfigError(f"--out {path} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"{flag} {path}: directory {parent} does not exist")
 
 
 def _corpus_tokens(path: str | None) -> np.ndarray:
@@ -182,6 +187,8 @@ def cmd_finetune(args, cfg: dict) -> int:
 def cmd_eval(args, cfg: dict) -> int:
     if args.bins < 2:
         raise ConfigError(f"--bins must be >= 2, got {args.bins}")
+    if args.report_prefix is not None:
+        _check_out(args.report_prefix, "--report-prefix")
     model = model_io.load_model(args.input)
     layer = None if args.hist is None else model.find_layer(args.hist)
     _check_lengths(cfg, model.config.max_seq, "eval.chunk_len")

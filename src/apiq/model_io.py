@@ -5,8 +5,17 @@ tensors in the order of `TinyTransformer.named_tensors()`, the one place
 that defines their names and order. A quantized layer contributes
 "<layer>.qcodes" / ".scale" / ".zero" (plus ".gamma" / ".beta" when its
 clipping was learned) instead of "<layer>.weight"; an attached adapter
-adds ".lora_a" / ".lora_b". `load_model` accepts a file only if its
-names, in order, are those `save_model` writes for the model it built.
+adds ".lora_a" / ".lora_b". `model_entries` is the one statement of this
+layout.
+
+One rule: `load_model` accepts exactly the files `save_model` writes. It
+builds the model the headers and stored names describe, zero-filled, then
+walks the stored entries beside `model_entries(model)`: the first whose
+name, kind (dtype, or bit width of packed codes), shape or header value
+differs fails the load (`FormatError`), so a loaded model saves the same
+bytes. First `_check_sizes` checks the header sizes against the stored
+block names and the extents of the embedding and each block's q and gate,
+so the model allocated is bounded by a multiple of the file's size.
 
 Non-finite values: the headers must be finite, and so must a layer's
 "scale" and "zero", which must also be values `quantize` writes (a scale
@@ -79,9 +88,8 @@ def save_model(model: TinyTransformer, path) -> None:
 
 
 def load_model(path) -> TinyTransformer:
-    """Rebuild a model from a checkpoint, checking every tensor against the
-    shape its config implies and the stored names against those
-    `save_model` writes for the model; any mismatch raises `FormatError`."""
+    """Rebuild a model from a checkpoint `save_model` could have written;
+    any other file raises `FormatError`."""
     stored = load_tensors(path)
     tensors = dict(stored)
     fields = dataclasses.fields(ModelConfig)
@@ -89,8 +97,7 @@ def load_model(path) -> TinyTransformer:
     m = _header(tensors, "quant.meta", 4) if "quant.meta" in tensors else None
     values = {f.name: _integral("header", f.name, v) if isinstance(f.default, int) else v
               for f, v in zip(fields, c.tolist())}
-    spec = None
-    alpha = -1.0
+    spec, alpha = None, -1.0
     try:
         cfg = ModelConfig(**values)
         if m is not None:
@@ -107,24 +114,41 @@ def load_model(path) -> TinyTransformer:
 
     _check_sizes(tensors, cfg)
     model = TinyTransformer(cfg)
-    for name, owner, attr in model.named_tensors():
-        if isinstance(owner, Linear):
-            _load_layer(owner, tensors, spec, alpha)
-        else:
-            setattr(owner, attr, _req(tensors, name, getattr(owner, attr).shape))
-    _check_names([name for name, _ in stored], model)
+    for layer in model.iter_layers():
+        _init_layer(layer, tensors, spec, alpha)
+    try:
+        expected = model_entries(model)
+    except ValueError as exc:
+        raise FormatError(f"checkpoint cannot be saved again: {exc}") from exc
+    for i, (got, want) in enumerate(itertools.zip_longest(stored, expected)):
+        if _signature(got) != _signature(want):
+            raise FormatError(f"tensor {i} is {_signature(got)}, where save_model "
+                              f"writes {_signature(want)}")
+        if isinstance(want[1], PackedCodes):
+            want[1].data = got[1].data
+        else:  # same dtype and shape, so nothing is cast or broadcast
+            np.copyto(want[1], got[1])
+    for n, qs in ((lay.name, lay.qstate) for lay in model.iter_layers() if lay.qstate):
+        s, z = qs.params.scale, qs.params.zero
+        if not (np.isfinite(s) & (s >= SCALE_FLOOR)).all():
+            raise FormatError(f"tensor '{n}.scale' holds a value below {SCALE_FLOOR} "
+                              f"or not finite")
+        if not ((z == np.rint(z)) & (z >= 0) & (z <= qs.spec.qmax)).all():
+            raise FormatError(f"tensor '{n}.zero' holds a value that is not an "
+                              f"integer in [0, {qs.spec.qmax}]")
     return model
 
 
-def _check_names(names: list[str], model: TinyTransformer) -> None:
-    """The stored names, in order, must be those `save_model` writes."""
-    try:
-        expected = [name for name, _ in model_entries(model)]
-    except ValueError as exc:
-        raise FormatError(f"checkpoint cannot be saved again: {exc}") from exc
-    for i, (got, want) in enumerate(itertools.zip_longest(names, expected)):
-        if got != want:
-            raise FormatError(f"tensor {i} is {got!r}, where save_model writes {want!r}")
+def _signature(entry) -> str:
+    """What the walk compares: name, kind, shape and a header's values, whose
+    float reprs differ wherever the (finite) values' bits do."""
+    if entry is None:
+        return "nothing"
+    name, t = entry
+    if isinstance(t, PackedCodes):
+        return f"{name!r} {t.bits}-bit codes {t.shape}"
+    values = f" {t.tolist()}" if name in ("config", "quant.meta") else ""
+    return f"{name!r} {t.dtype.name} {t.shape}{values}"
 
 
 def _integral(header: str, name: str, v: float) -> int:
@@ -145,67 +169,42 @@ def _header(tensors: dict, name: str, size: int) -> np.ndarray:
 def _check_sizes(tensors: dict, cfg: ModelConfig) -> None:
     """Check the header sizes against the stored tensors before a model of
     those sizes is allocated (`max_seq` has no tensor to check against)."""
-    _req(tensors, "embed.weight", (cfg.vocab, cfg.d_model))
-    gate = "blocks.0.mlp.gate"
-    stored = tensors.get(f"{gate}.weight", tensors.get(f"{gate}.qcodes"))
-    if getattr(stored, "shape", None) != (cfg.d_model, cfg.d_ff):
-        raise FormatError(f"header d_ff {cfg.d_ff} does not match the stored "
-                          f"{gate!r} layer")
     present = {name.split(".")[1] for name in tensors if name.startswith("blocks.")}
     if len(present) != cfg.n_blocks or present != {str(i) for i in range(len(present))}:
         raise FormatError(f"header n_blocks {cfg.n_blocks} does not match the stored "
                           f"blocks {sorted(present)}")
+    d, f = cfg.d_model, cfg.d_ff
+    checks = [("embed", (cfg.vocab, d), f"vocab {cfg.vocab}, d_model {d}")]
+    for i in range(cfg.n_blocks):
+        checks += [(f"blocks.{i}.attn.q", (d, d), f"d_model {d}"),
+                   (f"blocks.{i}.mlp.gate", (d, f), f"d_ff {f}")]
+    for layer, shape, sizes in checks:
+        name = f"{layer}.qcodes" if f"{layer}.qcodes" in tensors else f"{layer}.weight"
+        if getattr(tensors.get(name), "shape", None) != shape:
+            raise FormatError(f"header {sizes} does not match the stored {name!r}")
 
 
-def _req(tensors: dict, name: str, shape: tuple) -> np.ndarray:
-    """Float tensor `name` as f32; a None in `shape` matches any extent."""
-    if name not in tensors:
-        raise FormatError(f"checkpoint is missing tensor {name!r}")
-    t = tensors[name]
-    if not (isinstance(t, np.ndarray) and t.ndim == len(shape)
-            and all(w is None or g == w for g, w in zip(t.shape, shape))):
-        raise FormatError(f"tensor {name!r} must be a float array of shape {shape}, "
-                          f"got {type(t).__name__} {t.shape}")
-    return t.astype(np.float32, copy=False)
-
-
-def _load_layer(layer: Linear, tensors: dict, spec: QuantSpec | None,
+def _init_layer(layer: Linear, tensors: dict, spec: QuantSpec | None,
                 alpha: float) -> None:
+    """Give `layer` the zero-filled state that its stored names describe."""
     n, d1, d2 = layer.name, layer.d1, layer.d2
-    if f"{n}.qcodes" in tensors:
-        if spec is None:
-            raise FormatError(f"layer {n!r} has codes but no 'quant.meta'")
+    if spec is not None and f"{n}.qcodes" in tensors:
         if d1 % spec.group:
             raise FormatError(f"group size {spec.group} does not divide {n!r} rows {d1}")
-        codes = tensors[f"{n}.qcodes"]
-        if not (isinstance(codes, PackedCodes) and codes.shape == (d1, d2)
-                and codes.bits == spec.bits):
-            raise FormatError(f"{n!r} codes must be {spec.bits}-bit packed ({d1}, {d2})")
         groups = (d1 // spec.group, d2)
-        params = GroupParams(scale=_req(tensors, f"{n}.scale", groups),
-                             zero=_req(tensors, f"{n}.zero", groups))
-        s, z = params.scale, params.zero
-        if not (np.isfinite(s) & (s >= SCALE_FLOOR)).all():
-            raise FormatError(f"tensor '{n}.scale' holds a value below {SCALE_FLOOR} "
-                              f"or not finite")
-        if not ((z == np.rint(z)) & (z >= 0) & (z <= spec.qmax)).all():
-            raise FormatError(f"tensor '{n}.zero' holds a value that is not an "
-                              f"integer in [0, {spec.qmax}]")
-        clip = None
-        if f"{n}.gamma" in tensors:
-            clip_shape = ClipParams.init(spec, d1, d2).gamma.shape
-            clip = ClipParams(gamma=_req(tensors, f"{n}.gamma", clip_shape),
-                              beta=_req(tensors, f"{n}.beta", clip_shape))
         layer.weight = None
-        layer.qstate = QuantState(codes=codes, params=params, clip=clip, spec=spec)
-    else:
-        layer.weight = _req(tensors, f"{n}.weight", (d1, d2))
-        layer.qstate = None
-    if f"{n}.lora_a" in tensors:
-        a = _req(tensors, f"{n}.lora_a", (d1, None))
-        if a.shape[1] == 0:
-            raise FormatError(f"tensor '{n}.lora_a' is a rank-0 adapter")
-        b = _req(tensors, f"{n}.lora_b", (d2, a.shape[1]))
-        layer.lora = LoraPair(a=a, b=b, alpha=alpha if alpha >= 0 else a.shape[1])
-    else:
-        layer.lora = None
+        layer.qstate = QuantState(
+            codes=PackedCodes(data=b"", shape=(d1, d2), bits=spec.bits),
+            params=GroupParams(scale=np.zeros(groups, np.float32),
+                               zero=np.zeros(groups, np.float32)),
+            clip=ClipParams.init(spec, d1, d2) if f"{n}.gamma" in tensors else None,
+            spec=spec)
+    a = tensors.get(f"{n}.lora_a")
+    if a is not None:
+        # the one value read: the rank of a (d1, r) float array, bounded by
+        # the file's size; any other lora_a, rank 0 included, fails the walk
+        shape = a.shape if isinstance(a, np.ndarray) else ()
+        rank = shape[1] if len(shape) == 2 and shape[0] == d1 and shape[1] else 1
+        layer.lora = LoraPair(a=np.zeros((d1, rank), np.float32),
+                              b=np.zeros((d2, rank), np.float32),
+                              alpha=alpha if alpha > 0 else rank)

@@ -31,17 +31,20 @@ _CHOICES = {
     "finetune.schedule": ("static", "cosine"),
 }
 
-# key -> smallest valid value; a count or length below it fails deep in
-# numpy, and a negative seed, count, rate or decay runs to no purpose, so
-# it is rejected when the config loads
-_MINIMUM = {
+# key -> (smallest, largest) valid value; a count or length below it fails
+# deep in numpy, a negative seed, count, rate or decay runs to no purpose,
+# and the warmup is a fraction of the finetune steps, so a value out of
+# range is rejected when the config loads
+_RANGE = {
     **dict.fromkeys(("seed", "quant.rank", "calib.epochs", "calib.loftq_iters",
                      "calib.weight_decay", "pretrain.steps", "pretrain.lr",
                      "pretrain.weight_decay", "finetune.epochs", "finetune.lr",
-                     "finetune.weight_decay", "finetune.warmup"), 0),
+                     "finetune.weight_decay"), (0, math.inf)),
     **dict.fromkeys(("calib.batch", "calib.samples", "calib.seq_len", "pretrain.batch",
-                     "pretrain.seq_len", "finetune.batch", "finetune.seq_len"), 1),
-    "eval.chunk_len": 2,
+                     "pretrain.seq_len", "finetune.batch", "finetune.seq_len"),
+                    (1, math.inf)),
+    "eval.chunk_len": (2, math.inf),
+    "finetune.warmup": (0, 1),
 }
 
 
@@ -93,8 +96,11 @@ def _convert(key: str, raw: str):
     if key in _CHOICES and value not in _CHOICES[key]:
         raise ConfigError(f"{key} must be one of "
                           f"{', '.join(map(str, _CHOICES[key]))}, got {value!r}")
-    if key in _MINIMUM and value < _MINIMUM[key]:
-        raise ConfigError(f"{key} must be >= {_MINIMUM[key]}, got {value!r}")
+    if key in _RANGE:
+        lo, hi = _RANGE[key]
+        if not lo <= value <= hi:
+            bound = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+            raise ConfigError(f"{key} must be {bound}, got {value!r}")
     return value
 
 

@@ -104,6 +104,34 @@ class TestRawFormat:
         for _, off, _ in _directory_offsets(p):
             assert off % 64 == 0
 
+    # an empty tensor whose dims multiply past 2**64, or name an extent
+    # numpy cannot hold: the size check wrapped in int64, then reshape raised
+    @pytest.mark.parametrize("dims", [(2 ** 32, 2 ** 32), (2 ** 62, 4), (2 ** 64 - 1, 0)])
+    def test_overflowing_dims_report_offset(self, tmp_path, dims):
+        import struct
+        p = tmp_path / "t.ckpt"
+        save_tensors(p, [("e", np.zeros((0, 0), dtype=np.float32))])
+        blob = bytearray(p.read_bytes())
+        at = 16 + 4 + 1 + 2 + 4  # header; name length, name, dtype and aux, rank
+        blob[at:at + 16] = struct.pack("<QQ", *dims)
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="'e'") as exc:
+            load_tensors(p)
+        assert exc.value.offset == _directory_offsets(p)[0][1]
+
+    # packed codes of a bit width `pack` never writes, or whose payload is
+    # not the rows of their shape
+    @pytest.mark.parametrize("codes", [
+        PackedCodes(data=bytes(8), shape=(8, 8), bits=1),
+        PackedCodes(data=bytes(8), shape=(8, 8), bits=0),
+        PackedCodes(data=bytes(11), shape=(5, 7), bits=2),
+        PackedCodes(data=bytes(0), shape=(1, 2 ** 40), bits=0)])
+    def test_packed_codes_must_fill_their_shape(self, tmp_path, codes):
+        p = tmp_path / "t.ckpt"
+        save_tensors(p, [("c", codes)])
+        with pytest.raises(FormatError, match="'c'"):
+            load_tensors(p)
+
     def test_dims_roundtrip_empty(self, tmp_path):
         p = tmp_path / "t.ckpt"
         save_tensors(p, [("e", np.zeros((0, 3), dtype=np.float32))])
@@ -210,6 +238,10 @@ class TestLoadChecks:
         ("blocks.0.attn.q.qcodes", pack(np.zeros((16, 8)), QuantSpec(bits=2))),
         ("blocks.0.attn.q.qcodes", pack(np.zeros((16, 16)), QuantSpec(bits=4))),
         ("blocks.0.attn.q.zero", pack(np.zeros((2, 16)), QuantSpec(bits=2))),
+        # an adapter rank is read only from a (d1, r) float lora_a
+        ("blocks.0.attn.q.lora_a", pack(np.zeros((16, 2)), QuantSpec(bits=2))),
+        ("blocks.0.attn.q.lora_a", np.zeros(32, dtype=np.float32)),
+        ("blocks.0.attn.q.lora_a", np.zeros((0, 2 ** 40), dtype=np.float32)),
     ])
     def test_mismatch_raises_format_error(self, qckpt, tmp_path, name, bad):
         bad_path = _resave(qckpt, tmp_path / "bad.ckpt", {name: bad})

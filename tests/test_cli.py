@@ -1,5 +1,6 @@
 import ctypes
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,16 @@ def quantized(ws, pretrained):
                  "--rank", "4", "--corpus", str(ws / "corpus.txt"),
                  "--out", str(out)])
     assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def rtn_quantized(ws, pretrained):
+    """A 2-bit rtn checkpoint: codes with no adapters."""
+    out = ws / "rtn2.ckpt"
+    assert main(["quantize", "--config", str(ws / "run.cfg"), "--in", str(pretrained),
+                 "--method", "rtn", "--bits", "2", "--corpus", str(ws / "corpus.txt"),
+                 "--out", str(out)]) == 0
     return out
 
 
@@ -450,6 +461,9 @@ def _stage_argv(command, cfg, ws, out, pretrained, quantized):
     ("finetune.lr", -1, "finetune"),
     ("finetune.weight_decay", -1, "finetune"),
     ("finetune.warmup", -1, "finetune"),
+    # a fraction of the steps: 1e308 overflowed, 1e300 ran every step in warmup
+    ("finetune.warmup", "1e308", "finetune"),
+    ("finetune.warmup", 2.0, "finetune"),
     ("calib.epochs", -1, "quantize"),
     ("calib.loftq_iters", -1, "quantize"),
     ("calib.weight_decay", -1, "quantize"),
@@ -509,6 +523,18 @@ def test_directory_out_exit_2_before_work(ws, pretrained, quantized, capsys, com
                             quantized)) == 2
     assert "--out" in capsys.readouterr().err
     assert list(ws.glob("out_dir.*")) == []
+
+
+@pytest.mark.parametrize("command", ["pretrain", "quantize", "finetune", "eval"])
+def test_out_in_missing_directory_exit_2_before_work(ws, pretrained, quantized, capsys,
+                                                     command):
+    out = ws / "no_dir" / "x"
+    assert main(_stage_argv(command, ws / "run.cfg", ws, out, pretrained,
+                            quantized)) == 2
+    err = capsys.readouterr().err
+    assert ("--report-prefix" if command == "eval" else "--out") in err
+    assert "no_dir" in err
+    assert not (ws / "no_dir").exists()
 
 
 def _tampered(src, dst, name, edit):
@@ -581,6 +607,38 @@ class TestCorruptCheckpoints:
         assert main(["eval", "--in", str(bad),
                      "--corpus", str(ws / "corpus.txt")]) == 3
         assert named in capsys.readouterr().err
+
+    def test_header_d_model_beyond_stored_q_exit_3(self, ws, capsys):
+        # a 1 MB file whose embedding and gate have the extents of a header
+        # d_model of 2**17 asked for 64 GiB (2**17, 2**17) projections
+        d = 2 ** 17
+        bad = ws / "dmodel.ckpt"
+        save_tensors(bad, [("config", np.array([1.0, d, 2, 1, 1, 16, 1e4])),
+                           ("embed.weight", np.zeros((1, d), np.float32)),
+                           ("blocks.0.mlp.gate.weight", np.zeros((d, 1), np.float32))])
+        assert main(["eval", "--in", str(bad),
+                     "--corpus", str(ws / "corpus.txt")]) == 3
+        assert "d_model 131072 does not match the stored 'blocks.0.attn.q.weight'" in \
+            capsys.readouterr().err
+
+    def test_header_n_blocks_beyond_stored_layers_exit_3(self, ws, pretrained, capsys):
+        # 98 block names with no layers asked for 98 more full-size blocks
+        # (1.7 GB resident for 20000 names in a 1.2 MB file) before the walk
+        entries = load_tensors(pretrained)
+        config = entries[0][1].copy()
+        config[4] = 100
+        bad = ws / "blocks.ckpt"
+        save_tensors(bad, [("config", config)] + entries[1:]
+                     + [(f"blocks.{i}.x", np.zeros(0, np.float32)) for i in range(2, 100)])
+        tracemalloc.start()
+        try:
+            code = main(["eval", "--in", str(bad), "--corpus", str(ws / "corpus.txt")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "does not match the stored 'blocks.2.attn.q.weight'" in capsys.readouterr().err
+        assert peak < 2 ** 20
 
     def test_huge_max_seq_is_a_limit(self, ws, pretrained, capsys):
         # max_seq has no tensor to check against: a header of 2**40 must
@@ -710,3 +768,32 @@ class TestCorruptCheckpoints:
         assert main(["eval", "--config", str(ws / "run.cfg"), "--in", str(bad),
                      "--corpus", str(ws / "corpus.txt")]) == 3
         assert "mixed adapter alphas" in capsys.readouterr().err
+
+    # kinds save_model never writes: a tensor or header in the other float
+    # width (each loaded and evaluated with exit 0, and saved other bytes)
+    @pytest.mark.parametrize("name,which", [
+        ("embed.weight", "pretrained"), ("final_norm.weight", "pretrained"),
+        ("blocks.0.attn.q.scale", "quantized"), ("blocks.0.attn.q.lora_a", "quantized"),
+        ("config", "pretrained"), ("quant.meta", "quantized")])
+    def test_other_float_width_exit_3(self, ws, request, capsys, name, which):
+        def edit(n, t):
+            if n != name:
+                return t
+            return t.astype(np.float64 if t.dtype == np.float32 else np.float32)
+
+        bad = ws / "width.ckpt"
+        save_tensors(bad, [(n, edit(n, t))
+                           for n, t in load_tensors(request.getfixturevalue(which))])
+        assert main(["eval", "--config", str(ws / "run.cfg"), "--in", str(bad),
+                     "--corpus", str(ws / "corpus.txt")]) == 3
+        assert f"'{name}'" in capsys.readouterr().err
+
+    # adapter alphas save_model never writes: one on a model with no
+    # adapters, and -1 (alpha = rank) on a model with adapters
+    @pytest.mark.parametrize("which,alpha", [("rtn_quantized", 5.0), ("quantized", -1.0)])
+    def test_alpha_save_would_not_write_exit_3(self, ws, request, capsys, which, alpha):
+        bad = _tampered(request.getfixturevalue(which), ws / "alpha.ckpt", "quant.meta",
+                        lambda t: t.__setitem__(3, alpha))
+        assert main(["eval", "--config", str(ws / "run.cfg"), "--in", str(bad),
+                     "--corpus", str(ws / "corpus.txt")]) == 3
+        assert "'quant.meta'" in capsys.readouterr().err
