@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError, NumericError, check_fields
 from .linalg import group_minmax, truncated_svd
 from .model import (Block, Linear, LoraPair, ModelConfig, QuantState,
                     TinyTransformer, forward_block, linear_apply)
@@ -45,25 +45,20 @@ METHODS = ("apiq-lw", "apiq-bw", "loftq", "rtn", "qlora")
 
 @dataclass
 class CalibPlan:
-    method: str = "apiq-bw"
-    epochs: int = 20
-    batch: int = 4
-    lr_theta: float = 0.005
-    lr_lora: float = 0.001
-    weight_decay: float = 0.1
-    loftq_iters: int = 5
+    method: str = field(default="apiq-bw", metadata={"choices": METHODS})
+    epochs: int = field(default=20, metadata={"lo": 0})
+    batch: int = field(default=4, metadata={"lo": 1})
+    lr_theta: float = field(default=0.005, metadata={"above": 0})
+    lr_lora: float = field(default=0.001, metadata={"above": 0})
+    weight_decay: float = field(default=0.1, metadata={"lo": 0})
+    loftq_iters: int = field(default=5, metadata={"lo": 0})
     seed: int = 0
     clip_init: float = 4.0
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}")
+        check_fields(self)
         if self.method in ("apiq-lw", "apiq-bw") and self.epochs < 1:
             raise ConfigError("gradient-based methods need epochs >= 1")
-        for name in ("lr_theta", "lr_lora"):
-            lr = getattr(self, name)
-            if not (math.isfinite(lr) and lr > 0):
-                raise ConfigError(f"{name} must be finite and > 0, got {lr!r}")
 
 
 @dataclass
@@ -380,12 +375,10 @@ def quantize_model(model: TinyTransformer, calib: CalibSet, plan: CalibPlan,
             x_q = forward_block(block, ad.Var(x_q), cfg, hook=calibrate).value
         return student, rows
 
-    if plan.method == "apiq-bw":
-        for i, block in enumerate(student.blocks):
-            x_full, x_q, brows = apiq_bw_block(
-                block, x_full, x_q, plan, spec, rank, rng.derive(100 + i), cfg,
-                unit=block.name)
-            rows.extend(brows)
-        return student, rows
-
-    raise ConfigError(f"unknown method {plan.method!r}")
+    # apiq-bw, the one method left of `METHODS`
+    for i, block in enumerate(student.blocks):
+        x_full, x_q, brows = apiq_bw_block(
+            block, x_full, x_q, plan, spec, rank, rng.derive(100 + i), cfg,
+            unit=block.name)
+        rows.extend(brows)
+    return student, rows

@@ -18,8 +18,8 @@ import numpy as np
 from . import model_io, train
 from .calib import CalibPlan, quantize_model, sample_calib
 from .checkpoint import atomic_open
-from .errors import ConfigError, FormatError, InputError, NumericError
-from .evals import (activation_error_profile, histogram_export,
+from .errors import ConfigError, FormatError, InputError, NumericError, check
+from .evals import (BINS, activation_error_profile, histogram_export,
                     histograms_to_tsv, perplexity, report_to_tsv, write_tsv,
                     weight_error_report)
 from .model import ModelConfig, TinyTransformer
@@ -99,14 +99,17 @@ def _keep_freed_memory() -> None:
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
-def _check_out(path: str, flag: str = "--out") -> None:
-    """Reject, before any work is done, an output path in a directory that
-    does not exist, and an --out that is a directory. A report prefix may
-    name a directory: its reports are written beside it."""
-    if flag == "--out" and os.path.isdir(path):
-        raise ConfigError(f"--out {path} is a directory")
+def _check_out(path: str, flag: str = "--out", derived=()) -> None:
+    """Reject, before any work is done, an --out that is a directory, a
+    path `derived` from `path` that is a directory, and an output path in a
+    directory that does not exist. A report prefix may name a directory:
+    its reports are written beside it. When the prefix is --in, its
+    directory is checked by reading the input."""
+    for out in ([path] if flag == "--out" else []) + list(derived):
+        if os.path.isdir(out):
+            raise ConfigError(f"{flag} {path}: {out} is a directory")
     parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
+    if flag != "--in" and not os.path.isdir(parent):
         raise ConfigError(f"{flag} {path}: directory {parent} does not exist")
 
 
@@ -133,14 +136,15 @@ def _calib_set(cfg: dict, corpus: np.ndarray):
 
 
 def cmd_pretrain(args, cfg: dict) -> int:
-    _check_out(args.out)
+    log = f"{args.out}.train.tsv"
+    _check_out(args.out, derived=[log])
     model_cfg = section(cfg, "model", ModelConfig)
     _check_lengths(cfg, model_cfg.max_seq, "pretrain.seq_len", "eval.chunk_len")
     corpus = _corpus_tokens(args.corpus)
     model = TinyTransformer.init(model_cfg, seed=cfg["seed"])
     rows = train.pretrain(model, corpus, **section(cfg, "pretrain"))
     model_io.save_model(model, args.out)
-    with atomic_open(f"{args.out}.train.tsv", "w", encoding="utf-8") as fh:
+    with atomic_open(log, "w", encoding="utf-8") as fh:
         write_tsv(fh, ["step", "loss"], [(r.step, r.loss) for r in rows],
                   config_line=canonical_config(cfg))
     ppl = perplexity(model, corpus, cfg["eval.chunk_len"])
@@ -149,7 +153,8 @@ def cmd_pretrain(args, cfg: dict) -> int:
 
 
 def cmd_quantize(args, cfg: dict) -> int:
-    _check_out(args.out)
+    log = f"{args.out}.calib.tsv"
+    _check_out(args.out, derived=[log])
     spec = section(cfg, "quant", QuantSpec)
     plan = section(cfg, "calib", CalibPlan)
     model = model_io.load_model(args.input)
@@ -157,7 +162,7 @@ def cmd_quantize(args, cfg: dict) -> int:
     calib = _calib_set(cfg, _corpus_tokens(args.corpus))
     qmodel, rows = quantize_model(model, calib, plan, spec, rank=cfg["quant.rank"])
     model_io.save_model(qmodel, args.out)
-    with atomic_open(f"{args.out}.calib.tsv", "w", encoding="utf-8") as fh:
+    with atomic_open(log, "w", encoding="utf-8") as fh:
         write_tsv(fh, ["layer", "epoch", "loss"],
                   [(r.unit, r.epoch, r.loss) for r in rows],
                   config_line=canonical_config(cfg))
@@ -165,7 +170,8 @@ def cmd_quantize(args, cfg: dict) -> int:
 
 
 def cmd_finetune(args, cfg: dict) -> int:
-    _check_out(args.out)
+    log = f"{args.out}.finetune.tsv"
+    _check_out(args.out, derived=[log])
     model = model_io.load_model(args.input)
     _check_lengths(cfg, model.config.max_seq, "finetune.seq_len", "eval.chunk_len")
     corpus = _corpus_tokens(args.corpus)
@@ -176,7 +182,7 @@ def cmd_finetune(args, cfg: dict) -> int:
     rows = train.finetune(model, corpus, corpus, **section(cfg, "finetune"),
                           chunk_len=cfg["eval.chunk_len"], on_epoch=on_epoch)
     model_io.save_model(model, args.out)
-    with atomic_open(f"{args.out}.finetune.tsv", "w", encoding="utf-8") as fh:
+    with atomic_open(log, "w", encoding="utf-8") as fh:
         write_tsv(fh, ["epoch", "step", "loss", "ppl"],
                   [(r.epoch, r.step, r.loss, "" if r.ppl is None else r.ppl)
                    for r in rows],
@@ -185,15 +191,16 @@ def cmd_finetune(args, cfg: dict) -> int:
 
 
 def cmd_eval(args, cfg: dict) -> int:
-    if args.bins < 2:
-        raise ConfigError(f"--bins must be >= 2, got {args.bins}")
-    if args.report_prefix is not None:
-        _check_out(args.report_prefix, "--report-prefix")
+    check("--bins", args.bins, **BINS)
+    prefix = args.report_prefix if args.report_prefix is not None else args.input
+    act_tsv, weight_tsv, hist_tsv = (f"{prefix}.{k}.tsv" for k in ("act", "weight", "hist"))
+    _check_out(prefix, "--in" if args.report_prefix is None else "--report-prefix",
+               [act_tsv, weight_tsv] * (args.profile_against is not None)
+               + [hist_tsv] * (args.hist is not None))
     model = model_io.load_model(args.input)
     layer = None if args.hist is None else model.find_layer(args.hist)
     _check_lengths(cfg, model.config.max_seq, "eval.chunk_len")
     corpus = _corpus_tokens(args.corpus)
-    prefix = args.report_prefix if args.report_prefix is not None else args.input
     config_line = canonical_config(cfg)
 
     full = None
@@ -202,16 +209,16 @@ def cmd_eval(args, cfg: dict) -> int:
         _check_lengths(cfg, min(model.config.max_seq, full.config.max_seq),
                        "calib.seq_len")
         act = activation_error_profile(full, model, _calib_set(cfg, corpus).tokens)
-        with atomic_open(f"{prefix}.act.tsv", "w", encoding="utf-8") as fh:
+        with atomic_open(act_tsv, "w", encoding="utf-8") as fh:
             fh.write(report_to_tsv(act, config_line))
         wer = weight_error_report(full, model)
-        with atomic_open(f"{prefix}.weight.tsv", "w", encoding="utf-8") as fh:
+        with atomic_open(weight_tsv, "w", encoding="utf-8") as fh:
             fh.write(report_to_tsv(wer, config_line))
 
     if layer is not None:
         ref = None if full is None else full.find_layer(args.hist).weight
         hists = histogram_export(layer, bins=args.bins, reference_weight=ref)
-        with atomic_open(f"{prefix}.hist.tsv", "w", encoding="utf-8") as fh:
+        with atomic_open(hist_tsv, "w", encoding="utf-8") as fh:
             fh.write(histograms_to_tsv(hists, config_line))
 
     ppl = perplexity(model, corpus, cfg["eval.chunk_len"])

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Var, log_softmax_nll, matmul
-from .errors import ConfigError, InputError, NumericError
+from .errors import InputError, NumericError, check
 from .model import Linear, TinyTransformer, forward_block, linear_apply
 
 
@@ -20,14 +20,17 @@ from .model import Linear, TinyTransformer, forward_block, linear_apply
 # chunks in one call: the grouping fixes the bits of the result.
 PPL_STEP_TOKENS = 1024
 PPL_GROUP_CHUNKS = 64
+# bounds (keyword arguments of `errors.check`): a chunk holds a token and
+# its successor, and a histogram at least two bins
+CHUNK_LEN = {"lo": 2}
+BINS = {"lo": 2}
 
 
 def perplexity(model: TinyTransformer, tokens: np.ndarray, chunk_len: int) -> float:
     """exp of the mean token-level cross-entropy over non-overlapping
     chunks of `chunk_len` tokens; the trailing partial chunk is dropped.
     Each layer's effective weight is built once per call."""
-    if chunk_len < 2:
-        raise ConfigError(f"eval.chunk_len must be >= 2, got {chunk_len}")
+    check("eval.chunk_len", chunk_len, **CHUNK_LEN)
     tokens = np.asarray(tokens).reshape(-1)
     n_chunks = len(tokens) // chunk_len
     if n_chunks < 1:
@@ -134,8 +137,7 @@ def histogram_export(layer: Linear, bins: int,
     weight when available, the dequantized codes Q, the adapter product
     A B^T and the factors A and B. Bin ranges span each tensor's min..max
     and counts always sum to the element count."""
-    if bins < 2:
-        raise ValueError("need at least 2 bins")
+    check("bins", bins, **BINS)
     tensors: dict[str, np.ndarray] = {}
     w = layer.weight if layer.weight is not None else reference_weight
     if w is not None:

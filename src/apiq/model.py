@@ -39,13 +39,12 @@ order: `layers` maps each projection name to its Linear, and
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, check_fields
 from .quant import (ClipParams, GroupParams, PackedCodes, QuantSpec,
                     dequantize, unpack)
 from .rng import RngState
@@ -57,26 +56,21 @@ BLOCK_LAYERS = ATTN_LAYERS + MLP_LAYERS
 
 @dataclass(frozen=True)
 class ModelConfig:
-    vocab: int = 256
-    d_model: int = 64
-    n_heads: int = 4
-    d_ff: int = 128
-    n_blocks: int = 2
-    max_seq: int = 128
-    rope_theta: float = 10000.0
+    vocab: int = field(default=256, metadata={"lo": 1})
+    d_model: int = field(default=64, metadata={"lo": 1})
+    n_heads: int = field(default=4, metadata={"lo": 1})
+    d_ff: int = field(default=128, metadata={"lo": 1})
+    n_blocks: int = field(default=2, metadata={"lo": 1})
+    max_seq: int = field(default=128, metadata={"lo": 1})
+    rope_theta: float = field(default=10000.0, metadata={"above": 0})
 
     def __post_init__(self):
-        if min(self.vocab, self.d_model, self.n_heads, self.d_ff, self.n_blocks,
-               self.max_seq) < 1:
-            raise ConfigError(f"model sizes must be positive, got {self}")
+        check_fields(self)
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if (self.d_model // self.n_heads) % 2 != 0:
             raise ConfigError("head dim must be even for rotary pairs")
-        if not (math.isfinite(self.rope_theta) and self.rope_theta > 0):
-            raise ConfigError(
-                f"rope_theta must be finite and > 0, got {self.rope_theta!r}")
 
 
 @dataclass

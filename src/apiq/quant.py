@@ -21,12 +21,12 @@ byte boundary; this byte layout is a stable external format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, FormatError
+from .errors import FormatError, check_fields
 from .linalg import group_minmax
 
 SCALE_FLOOR = 1e-8
@@ -37,17 +37,13 @@ GRANULARITIES = ("per-matrix", "per-group")
 
 @dataclass(frozen=True)
 class QuantSpec:
-    bits: int = 2
-    group: int = 64
-    clip_granularity: str = "per-matrix"
+    bits: int = field(default=2, metadata={"choices": BITS})
+    group: int = field(default=64, metadata={"lo": 1})
+    clip_granularity: str = field(default="per-matrix",
+                                  metadata={"choices": GRANULARITIES})
 
     def __post_init__(self):
-        if self.bits not in BITS:
-            raise ConfigError(f"unsupported bit width {self.bits}")
-        if self.group < 1:
-            raise ConfigError(f"group size must be positive, got {self.group}")
-        if self.clip_granularity not in GRANULARITIES:
-            raise ConfigError(f"bad clip granularity {self.clip_granularity!r}")
+        check_fields(self)
 
     @property
     def qmax(self) -> int:

@@ -6,62 +6,36 @@ keys are rejected so typos fail loudly. A command-line flag overrides one
 key and is checked as its line in the file would be. Every command echoes
 its fully resolved configuration as the first line of its TSV log.
 
-The corpus is any UTF-8 file; tokenization is the identity on bytes
+The corpus is any file of bytes; tokenization is the identity on bytes
 (vocab 256) and documents may be separated by the 0x00 byte.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
-from .calib import METHODS, CalibPlan
-from .errors import ConfigError, InputError
+from .calib import CalibPlan
+from .errors import ConfigError, InputError, check
+from .evals import CHUNK_LEN
 from .model import ModelConfig
-from .quant import BITS, GRANULARITIES, QuantSpec
+from .quant import QuantSpec
 from .train import POSITIONS
 
-_CHOICES = {
-    "calib.method": METHODS,
-    "quant.bits": BITS,
-    "quant.clip_granularity": GRANULARITIES,
-    "finetune.lora_position": tuple(POSITIONS),
-    "finetune.schedule": ("static", "cosine"),
-}
 
-# key -> (smallest, largest) valid value; a count or length below it fails
-# deep in numpy, a negative seed, count, rate or decay runs to no purpose,
-# and the warmup is a fraction of the finetune steps, so a value out of
-# range is rejected when the config loads
-_RANGE = {
-    **dict.fromkeys(("seed", "quant.rank", "calib.epochs", "calib.loftq_iters",
-                     "calib.weight_decay", "pretrain.steps", "pretrain.lr",
-                     "pretrain.weight_decay", "finetune.epochs", "finetune.lr",
-                     "finetune.weight_decay"), (0, math.inf)),
-    **dict.fromkeys(("calib.batch", "calib.samples", "calib.seq_len", "pretrain.batch",
-                     "pretrain.seq_len", "finetune.batch", "finetune.seq_len"),
-                    (1, math.inf)),
-    "eval.chunk_len": (2, math.inf),
-    "finetune.warmup": (0, 1),
-}
+# the model.*, quant.* and calib.* keys name the fields of the classes
+# `section` builds from them; a `seed` field is the shared `seed` key
+_OWNED = {f"{prefix}.{f.name}": f
+          for prefix, cls in (("model", ModelConfig), ("quant", QuantSpec),
+                              ("calib", CalibPlan))
+          for f in dataclasses.fields(cls) if f.name != "seed"}
 
-
-def _fields(prefix: str, cls) -> dict:
-    """A row per field of `cls`; a `seed` field is the shared `seed` key."""
-    return {f"{prefix}.{f.name}": (type(f.default), f.default)
-            for f in dataclasses.fields(cls) if f.name != "seed"}
-
-
-# key -> (type, default); the model.*, quant.* and calib.* keys are the
-# fields of the classes `section` builds from them
+# key -> (type, default)
 SCHEMA: dict[str, tuple[type, object]] = {
     "seed": (int, 0),
-    **_fields("model", ModelConfig),
-    **_fields("quant", QuantSpec),
+    **{key: (type(f.default), f.default) for key, f in _OWNED.items()},
     "quant.rank": (int, 8),
-    **_fields("calib", CalibPlan),
     "calib.samples": (int, 16),
     "calib.seq_len": (int, 128),
     "pretrain.steps": (int, 2000),
@@ -80,6 +54,25 @@ SCHEMA: dict[str, tuple[type, object]] = {
     "eval.chunk_len": (int, 128),
 }
 
+# key -> bound (the keyword arguments of `check`): an owned key's is its
+# field's. A count or length below its bound fails deep in numpy, a
+# negative seed, count, rate or decay runs to no purpose, and the warmup
+# is a fraction of the finetune steps, so a value out of bounds is
+# rejected when the config loads
+_BOUNDS = {
+    **{key: f.metadata for key, f in _OWNED.items()},
+    **dict.fromkeys(("seed", "quant.rank", "pretrain.steps", "pretrain.lr",
+                     "pretrain.weight_decay", "finetune.epochs", "finetune.lr",
+                     "finetune.weight_decay"), {"lo": 0}),
+    **dict.fromkeys(("calib.samples", "calib.seq_len", "pretrain.batch",
+                     "pretrain.seq_len", "finetune.batch", "finetune.seq_len"),
+                    {"lo": 1}),
+    "finetune.lora_position": {"choices": POSITIONS},
+    "finetune.schedule": {"choices": ("static", "cosine")},
+    "finetune.warmup": {"lo": 0, "hi": 1},
+    "eval.chunk_len": CHUNK_LEN,
+}
+
 
 def default_config() -> dict:
     return {k: v for k, (_, v) in SCHEMA.items()}
@@ -91,16 +84,7 @@ def _convert(key: str, raw: str):
         value = typ(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    if typ is float and not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {raw!r}")
-    if key in _CHOICES and value not in _CHOICES[key]:
-        raise ConfigError(f"{key} must be one of "
-                          f"{', '.join(map(str, _CHOICES[key]))}, got {value!r}")
-    if key in _RANGE:
-        lo, hi = _RANGE[key]
-        if not lo <= value <= hi:
-            bound = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
-            raise ConfigError(f"{key} must be {bound}, got {value!r}")
+    check(key, value, **_BOUNDS.get(key, {}))
     return value
 
 

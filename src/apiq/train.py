@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .calib import AdamW
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError, NumericError, check
 from .evals import perplexity
 from .model import ATTN_LAYERS, MLP_LAYERS, TinyTransformer
 from .rng import RngState
@@ -38,8 +38,6 @@ def pretrain(model: TinyTransformer, corpus: np.ndarray, steps: int,
     if len(corpus) < 4 * seq_len:
         raise InputError(
             f"corpus has {len(corpus)} bytes, need at least {4 * seq_len}")
-    if seq_len + 1 > len(corpus):
-        raise InputError("corpus shorter than one training window")
     params = [getattr(owner, attr) for _, owner, attr in model.named_tensors()]
     opt = AdamW([(params, lr, weight_decay)])
     rng = RngState(seed).derive(0x7121)
@@ -64,8 +62,7 @@ def finetune(model: TinyTransformer, corpus: np.ndarray, eval_corpus: np.ndarray
     seeded shuffled order; the per-epoch perplexity on `eval_corpus` is
     recorded (and passed to `on_epoch` when given).
     """
-    if lora_position not in POSITIONS:
-        raise ConfigError(f"unknown lora position {lora_position!r}")
+    check("finetune.lora_position", lora_position, choices=POSITIONS)
     adapters = [block.layers[lname].lora for block in model.blocks
                 for lname in POSITIONS[lora_position]
                 if block.layers[lname].lora is not None]

@@ -467,16 +467,24 @@ def _stage_argv(command, cfg, ws, out, pretrained, quantized):
     ("calib.epochs", -1, "quantize"),
     ("calib.loftq_iters", -1, "quantize"),
     ("calib.weight_decay", -1, "quantize"),
+    # bounds only a class stated, so a command that does not build the
+    # class ran with exit 0
+    ("quant.group", 0, "pretrain"),
+    ("calib.lr_theta", 0, "eval"),
+    ("model.rope_theta", 0, "eval"),
+    ("model.n_heads", 0, "eval"),
 ])
 def test_out_of_range_count_exit_2_before_work(ws, pretrained, quantized, capsys,
-                                               key, value, command):
-    cfg = ws / "range.cfg"
+                                               tmp_path, key, value, command):
+    # each case writes in its own directory, so one case that wrongly
+    # exits 0 fails only itself
+    cfg = tmp_path / "range.cfg"
     # cosine: the schedule that reads finetune.warmup
     cfg.write_text(CONFIG_TEXT + f"{key} = {value}\nfinetune.schedule = cosine\n")
-    out = ws / "range.ckpt"
+    out = tmp_path / "range.ckpt"
     assert main(_stage_argv(command, cfg, ws, out, pretrained, quantized)) == 2
     assert key in capsys.readouterr().err
-    assert list(ws.glob("range.ckpt*")) == []
+    assert list(tmp_path.glob("range.ckpt*")) == []
 
 
 def test_non_utf8_config_exit_2(ws, capsys):
@@ -486,6 +494,18 @@ def test_non_utf8_config_exit_2(ws, capsys):
                  "--out", str(ws / "latin.ckpt")]) == 2
     assert "latin.cfg" in capsys.readouterr().err
     assert list(ws.glob("latin.ckpt*")) == []
+
+
+def test_non_utf8_corpus_evaluates(ws, pretrained, capsys):
+    # a corpus is any file of bytes: tokenization is the identity on bytes
+    data = np.random.default_rng(0).integers(0, 256, 4096, dtype=np.uint8).tobytes()
+    with pytest.raises(UnicodeDecodeError):
+        data.decode("utf-8")
+    corpus = ws / "bytes.bin"
+    corpus.write_bytes(data)
+    assert main(["eval", "--config", str(ws / "run.cfg"), "--in", str(pretrained),
+                 "--corpus", str(corpus)]) == 0
+    assert float(capsys.readouterr().out) > 1.0
 
 
 # calib.seq_len is 64: the corpus holds 4 windows of it, or less than one
@@ -523,6 +543,40 @@ def test_directory_out_exit_2_before_work(ws, pretrained, quantized, capsys, com
                             quantized)) == 2
     assert "--out" in capsys.readouterr().err
     assert list(ws.glob("out_dir.*")) == []
+
+
+# a log or report path derived from --out or --report-prefix that is a
+# directory: the command wrote its checkpoint, or computed the profile,
+# and then raised IsADirectoryError
+@pytest.mark.parametrize("command,suffix", [("pretrain", ".train.tsv"),
+                                            ("quantize", ".calib.tsv"),
+                                            ("finetune", ".finetune.tsv"),
+                                            ("eval", ".act.tsv"),
+                                            ("eval", ".weight.tsv"),
+                                            ("eval", ".hist.tsv")])
+def test_derived_directory_exit_2_before_work(ws, pretrained, quantized, capsys,
+                                              tmp_path, command, suffix):
+    out = tmp_path / "derived"
+    (tmp_path / f"derived{suffix}").mkdir()
+    argv = _stage_argv(command, ws / "run.cfg", ws, out, pretrained, quantized)
+    if suffix == ".hist.tsv":
+        argv += ["--hist", "blocks.0.attn.q"]
+    assert main(argv) == 2
+    assert f"derived{suffix} is a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [f"derived{suffix}"]
+
+
+def test_derived_directory_beside_input_exit_2_before_work(ws, pretrained, quantized,
+                                                           capsys, tmp_path):
+    # without --report-prefix the reports are written beside --in
+    model = tmp_path / "in.ckpt"
+    model.write_bytes(quantized.read_bytes())
+    (tmp_path / "in.ckpt.act.tsv").mkdir()
+    assert main(["eval", "--config", str(ws / "run.cfg"), "--in", str(model),
+                 "--corpus", str(ws / "corpus.txt"),
+                 "--profile-against", str(pretrained)]) == 2
+    assert "--in" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ckpt", "in.ckpt.act.tsv"]
 
 
 @pytest.mark.parametrize("command", ["pretrain", "quantize", "finetune", "eval"])
@@ -664,7 +718,7 @@ class TestCorruptCheckpoints:
                         lambda t: t.__setitem__(0, 5))
         assert main(["eval", "--in", str(bad),
                      "--corpus", str(ws / "corpus.txt")]) == 3
-        assert "bit width 5" in capsys.readouterr().err
+        assert "bits must be one of 2, 3, 4, 8, got 5" in capsys.readouterr().err
 
     def test_non_utf8_tensor_name_exit_3(self, ws, pretrained, capsys):
         blob = bytearray(pretrained.read_bytes())

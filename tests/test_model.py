@@ -197,7 +197,7 @@ class TestConfigValidation:
                                        "n_blocks", "max_seq"])
     def test_sizes_must_be_positive(self, field):
         from apiq.errors import ConfigError
-        with pytest.raises(ConfigError, match="positive"):
+        with pytest.raises(ConfigError, match=f"{field} must be >= 1, got 0"):
             ModelConfig(**{field: 0})
 
     @pytest.mark.parametrize("theta", [0.0, -1.0, np.inf, np.nan])

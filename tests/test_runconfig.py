@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -114,6 +115,41 @@ def test_numeric_key_returns_or_raises_config_error(key, raw):
         assert cfg[key] == SCHEMA[key][0](raw)
 
 
+# each bound a class field declares, at its edge: (key, the value just
+# past the bound, the bound itself, or for a strict bound the least float
+# above it)
+OWNED_EDGES = [
+    *((f"model.{name}", "0", "1")
+      for name in ("vocab", "d_model", "n_heads", "d_ff", "n_blocks", "max_seq")),
+    ("model.rope_theta", "0", "5e-324"),
+    ("quant.bits", "5", "8"),
+    ("quant.group", "0", "1"),
+    ("quant.clip_granularity", "per-row", "per-group"),
+    ("calib.method", "gptq", "qlora"),
+    ("calib.epochs", "-1", "0"),
+    ("calib.batch", "0", "1"),
+    ("calib.lr_theta", "0", "5e-324"),
+    ("calib.lr_lora", "0", "5e-324"),
+    ("calib.weight_decay", "-5e-324", "0"),
+    ("calib.loftq_iters", "-1", "0"),
+]
+
+
+def test_every_declared_bound_has_an_edge_case():
+    declared = {f"{prefix}.{f.name}"
+                for prefix, cls in (("model", ModelConfig), ("quant", QuantSpec),
+                                    ("calib", CalibPlan))
+                for f in dataclasses.fields(cls) if f.metadata}
+    assert declared == {key for key, _, _ in OWNED_EDGES}
+
+
+@pytest.mark.parametrize("key,past,edge", OWNED_EDGES)
+def test_owned_bound_rejected_at_its_edge(key, past, edge):
+    with pytest.raises(ConfigError, match=f"^{key} must be .*, got "):
+        parse_config(f"{key} = {past}")
+    assert parse_config(f"{key} = {edge}")[key] == SCHEMA[key][0](edge)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(
     st.text(max_size=40),
@@ -122,6 +158,21 @@ def test_numeric_key_returns_or_raises_config_error(key, raw):
 def test_parse_config_raises_only_config_error(lines):
     try:
         parse_config("\n".join(lines))
+    except ConfigError:
+        pass
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(
+    st.binary(max_size=40),
+    st.builds(lambda key, raw: key.encode() + b" = " + raw,
+              st.sampled_from(sorted(SCHEMA)), st.binary(max_size=12)),
+), max_size=6), st.sampled_from([b"\n", b"\r\n", b"\r", b"\x0b", b"\x85"]))
+def test_config_file_bytes_raise_only_config_error(tmp_path_factory, lines, sep):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_bytes(sep.join(lines))
+    try:
+        load_config(str(path))
     except ConfigError:
         pass
 
