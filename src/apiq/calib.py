@@ -58,7 +58,7 @@ class CalibPlan:
     def __post_init__(self):
         check_fields(self)
         if self.method in ("apiq-lw", "apiq-bw") and self.epochs < 1:
-            raise ConfigError("gradient-based methods need epochs >= 1")
+            raise ConfigError(f"method {self.method} needs epochs >= 1, got {self.epochs}")
 
 
 @dataclass
@@ -66,7 +66,6 @@ class CalibSet:
     """Token windows driving the activation-matching optimization."""
 
     tokens: np.ndarray  # (n_samples, seq_len)
-    seed: int
 
 
 def sample_calib(corpus_tokens: np.ndarray, n_samples: int, seq_len: int,
@@ -83,7 +82,7 @@ def sample_calib(corpus_tokens: np.ndarray, n_samples: int, seq_len: int,
     rng = RngState(seed).derive(0xCA11B)
     starts = rng.randint(0, len(corpus_tokens) - seq_len + 1, (n_samples,))
     rows = np.stack([corpus_tokens[s:s + seq_len] for s in starts])
-    return CalibSet(tokens=rows, seed=seed)
+    return CalibSet(tokens=rows)
 
 
 class AdamW:

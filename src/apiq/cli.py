@@ -1,9 +1,10 @@
 """Command-line pipeline: pretrain, quantize, finetune, eval.
 
 Exit codes are a stable contract: 0 success, 2 configuration error,
-3 input-data error, 4 numeric failure. Every command writes a TSV log
-whose first line echoes the fully resolved configuration; like the
-checkpoints, logs are written to "<path>.tmp" and renamed into place.
+3 input-data error, 4 numeric failure. Each command names the files it
+writes, checks them with one rule before any work and writes them last,
+atomically, so a failed command leaves no file created or changed. The
+first line of every TSV echoes the fully resolved configuration.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ import numpy as np
 
 from . import model_io, train
 from .calib import CalibPlan, quantize_model, sample_calib
-from .checkpoint import atomic_open
 from .errors import ConfigError, FormatError, InputError, NumericError, check
 from .evals import (BINS, activation_error_profile, histogram_export,
-                    histograms_to_tsv, perplexity, report_to_tsv, write_tsv,
-                    weight_error_report)
+                    histogram_rows, perplexity, report_rows, weight_error_report,
+                    write_tsv)
 from .model import ModelConfig, TinyTransformer
 from .quant import QuantSpec
 from .runconfig import (canonical_config, default_corpus_path, load_config,
@@ -99,18 +99,16 @@ def _keep_freed_memory() -> None:
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
-def _check_out(path: str, flag: str = "--out", derived=()) -> None:
-    """Reject, before any work is done, an --out that is a directory, a
-    path `derived` from `path` that is a directory, and an output path in a
-    directory that does not exist. A report prefix may name a directory:
-    its reports are written beside it. When the prefix is --in, its
-    directory is checked by reading the input."""
-    for out in ([path] if flag == "--out" else []) + list(derived):
+def _check_out(flag: str, path: str, files) -> None:
+    """Reject, before any work is done, each of the `files` a command will
+    write (named from `path`, the value of `flag`) that is a directory or
+    whose directory does not exist."""
+    for out in files:
+        parent = os.path.dirname(out) or "."
         if os.path.isdir(out):
             raise ConfigError(f"{flag} {path}: {out} is a directory")
-    parent = os.path.dirname(path) or "."
-    if flag != "--in" and not os.path.isdir(parent):
-        raise ConfigError(f"{flag} {path}: directory {parent} does not exist")
+        if not os.path.isdir(parent):
+            raise ConfigError(f"{flag} {path}: directory {parent} does not exist")
 
 
 def _corpus_tokens(path: str | None) -> np.ndarray:
@@ -137,24 +135,23 @@ def _calib_set(cfg: dict, corpus: np.ndarray):
 
 def cmd_pretrain(args, cfg: dict) -> int:
     log = f"{args.out}.train.tsv"
-    _check_out(args.out, derived=[log])
+    _check_out("--out", args.out, [args.out, log])
     model_cfg = section(cfg, "model", ModelConfig)
     _check_lengths(cfg, model_cfg.max_seq, "pretrain.seq_len", "eval.chunk_len")
     corpus = _corpus_tokens(args.corpus)
     model = TinyTransformer.init(model_cfg, seed=cfg["seed"])
     rows = train.pretrain(model, corpus, **section(cfg, "pretrain"))
-    model_io.save_model(model, args.out)
-    with atomic_open(log, "w", encoding="utf-8") as fh:
-        write_tsv(fh, ["step", "loss"], [(r.step, r.loss) for r in rows],
-                  config_line=canonical_config(cfg))
     ppl = perplexity(model, corpus, cfg["eval.chunk_len"])
+    model_io.save_model(model, args.out)
+    write_tsv(log, ["step", "loss"], [(r.step, r.loss) for r in rows],
+              canonical_config(cfg))
     print(f"final_train_ppl\t{ppl!r}")
     return EXIT_OK
 
 
 def cmd_quantize(args, cfg: dict) -> int:
     log = f"{args.out}.calib.tsv"
-    _check_out(args.out, derived=[log])
+    _check_out("--out", args.out, [args.out, log])
     spec = section(cfg, "quant", QuantSpec)
     plan = section(cfg, "calib", CalibPlan)
     model = model_io.load_model(args.input)
@@ -162,16 +159,14 @@ def cmd_quantize(args, cfg: dict) -> int:
     calib = _calib_set(cfg, _corpus_tokens(args.corpus))
     qmodel, rows = quantize_model(model, calib, plan, spec, rank=cfg["quant.rank"])
     model_io.save_model(qmodel, args.out)
-    with atomic_open(log, "w", encoding="utf-8") as fh:
-        write_tsv(fh, ["layer", "epoch", "loss"],
-                  [(r.unit, r.epoch, r.loss) for r in rows],
-                  config_line=canonical_config(cfg))
+    write_tsv(log, ["layer", "epoch", "loss"],
+              [(r.unit, r.epoch, r.loss) for r in rows], canonical_config(cfg))
     return EXIT_OK
 
 
 def cmd_finetune(args, cfg: dict) -> int:
     log = f"{args.out}.finetune.tsv"
-    _check_out(args.out, derived=[log])
+    _check_out("--out", args.out, [args.out, log])
     model = model_io.load_model(args.input)
     _check_lengths(cfg, model.config.max_seq, "finetune.seq_len", "eval.chunk_len")
     corpus = _corpus_tokens(args.corpus)
@@ -182,46 +177,44 @@ def cmd_finetune(args, cfg: dict) -> int:
     rows = train.finetune(model, corpus, corpus, **section(cfg, "finetune"),
                           chunk_len=cfg["eval.chunk_len"], on_epoch=on_epoch)
     model_io.save_model(model, args.out)
-    with atomic_open(log, "w", encoding="utf-8") as fh:
-        write_tsv(fh, ["epoch", "step", "loss", "ppl"],
-                  [(r.epoch, r.step, r.loss, "" if r.ppl is None else r.ppl)
-                   for r in rows],
-                  config_line=canonical_config(cfg))
+    write_tsv(log, ["epoch", "step", "loss", "ppl"],
+              [(r.epoch, r.step, r.loss, "" if r.ppl is None else r.ppl) for r in rows],
+              canonical_config(cfg))
     return EXIT_OK
 
 
 def cmd_eval(args, cfg: dict) -> int:
     check("--bins", args.bins, **BINS)
-    prefix = args.report_prefix if args.report_prefix is not None else args.input
-    act_tsv, weight_tsv, hist_tsv = (f"{prefix}.{k}.tsv" for k in ("act", "weight", "hist"))
-    _check_out(prefix, "--in" if args.report_prefix is None else "--report-prefix",
-               [act_tsv, weight_tsv] * (args.profile_against is not None)
-               + [hist_tsv] * (args.hist is not None))
     model = model_io.load_model(args.input)
+    flag, prefix = (("--in", args.input) if args.report_prefix is None
+                    else ("--report-prefix", args.report_prefix))
+    act_tsv, weight_tsv, hist_tsv = (f"{prefix}.{k}.tsv" for k in ("act", "weight", "hist"))
+    _check_out(flag, prefix, [act_tsv, weight_tsv] * (args.profile_against is not None)
+               + [hist_tsv] * (args.hist is not None))
     layer = None if args.hist is None else model.find_layer(args.hist)
     _check_lengths(cfg, model.config.max_seq, "eval.chunk_len")
     corpus = _corpus_tokens(args.corpus)
-    config_line = canonical_config(cfg)
 
+    # (path, header, rows) of each report, written once every step has run
+    reports = []
     full = None
     if args.profile_against is not None:
         full = model_io.load_model(args.profile_against)
         _check_lengths(cfg, min(model.config.max_seq, full.config.max_seq),
                        "calib.seq_len")
         act = activation_error_profile(full, model, _calib_set(cfg, corpus).tokens)
-        with atomic_open(act_tsv, "w", encoding="utf-8") as fh:
-            fh.write(report_to_tsv(act, config_line))
         wer = weight_error_report(full, model)
-        with atomic_open(weight_tsv, "w", encoding="utf-8") as fh:
-            fh.write(report_to_tsv(wer, config_line))
-
+        reports += [(path, ["layer", "block", rep.kind], report_rows(rep))
+                    for path, rep in ((act_tsv, act), (weight_tsv, wer))]
     if layer is not None:
         ref = None if full is None else full.find_layer(args.hist).weight
         hists = histogram_export(layer, bins=args.bins, reference_weight=ref)
-        with atomic_open(hist_tsv, "w", encoding="utf-8") as fh:
-            fh.write(histograms_to_tsv(hists, config_line))
+        reports.append((hist_tsv, ["tensor", "bin_center", "count"],
+                        histogram_rows(hists)))
 
     ppl = perplexity(model, corpus, cfg["eval.chunk_len"])
+    for path, header, rows in reports:
+        write_tsv(path, header, rows, canonical_config(cfg))
     print(repr(ppl))
     return EXIT_OK
 

@@ -1,16 +1,16 @@
 """Diagnostics: perplexity, activation-error depth profiles, weight-error
-reports, and tensor histograms. Reports serialize to TSV (UTF-8, tab
-separated, newline terminated, header row first). The activation profile
-walks the two models block by block, as `quantize_model` walks X and X^q."""
+reports, and tensor histograms. `write_tsv` is the one TSV writer, of the
+command logs and the reports alike. The activation profile walks the two
+models block by block, as `quantize_model` walks X and X^q."""
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Var, log_softmax_nll, matmul
+from .checkpoint import atomic_open
 from .errors import InputError, NumericError, check
 from .model import Linear, TinyTransformer, forward_block, linear_apply
 
@@ -164,36 +164,22 @@ def histogram_export(layer: Linear, bins: int,
 # TSV serialization
 # ---------------------------------------------------------------------------
 
-def format_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def write_tsv(stream, header: list[str], rows, config_line: str | None = None) -> None:
-    if config_line is not None:
-        stream.write(f"config\t{config_line}\n")
-    stream.write("\t".join(header) + "\n")
-    for row in rows:
-        stream.write("\t".join(format_value(v) for v in row) + "\n")
+def write_tsv(path, header: list[str], rows, config_line: str) -> None:
+    """Write `path` as UTF-8 tab-separated lines: the config line, the header
+    and the rows (floats by `repr`), atomically, so a failed write leaves
+    the old file or none."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"config\t{config_line}\n")
+        fh.write("\t".join(header) + "\n")
+        for row in rows:
+            fh.write("\t".join(repr(v) if isinstance(v, float) else str(v)
+                               for v in row) + "\n")
 
 
 def report_rows(report: ErrorReport):
     return [(r.layer, r.block, r.value) for r in report.records]
 
 
-def report_to_tsv(report: ErrorReport, config_line: str | None = None) -> str:
-    buf = io.StringIO()
-    write_tsv(buf, ["layer", "block", report.kind], report_rows(report), config_line)
-    return buf.getvalue()
-
-
-def histograms_to_tsv(hists: dict[str, tuple[np.ndarray, np.ndarray]],
-                      config_line: str | None = None) -> str:
-    buf = io.StringIO()
-    rows = []
-    for name, (centers, counts) in hists.items():
-        for c, n in zip(centers, counts):
-            rows.append((name, float(c), int(n)))
-    write_tsv(buf, ["tensor", "bin_center", "count"], rows, config_line)
-    return buf.getvalue()
+def histogram_rows(hists: dict[str, tuple[np.ndarray, np.ndarray]]):
+    return [(name, float(c), int(n)) for name, (centers, counts) in hists.items()
+            for c, n in zip(centers, counts)]

@@ -26,9 +26,8 @@ from .train import POSITIONS
 
 # the model.*, quant.* and calib.* keys name the fields of the classes
 # `section` builds from them; a `seed` field is the shared `seed` key
-_OWNED = {f"{prefix}.{f.name}": f
-          for prefix, cls in (("model", ModelConfig), ("quant", QuantSpec),
-                              ("calib", CalibPlan))
+_CLASSES = (("model", ModelConfig), ("quant", QuantSpec), ("calib", CalibPlan))
+_OWNED = {f"{prefix}.{f.name}": f for prefix, cls in _CLASSES
           for f in dataclasses.fields(cls) if f.name != "seed"}
 
 # key -> (type, default)
@@ -107,7 +106,9 @@ def parse_config(text: str) -> dict:
 def load_config(path: str | None, overrides: dict[str, str] | None = None) -> dict:
     """The config file at `path` (defaults when None), then `overrides`
     (key -> raw text, such as a command-line flag), each checked as a line
-    of the file is."""
+    of the file is. The resolved keys then build each class they name, so a
+    rule over several fields of one class (`d_model % n_heads`) holds for
+    every command, whether or not it uses the class."""
     text = ""
     if path is not None:
         try:
@@ -118,6 +119,8 @@ def load_config(path: str | None, overrides: dict[str, str] | None = None) -> di
     cfg = parse_config(text)
     for key, raw in (overrides or {}).items():
         cfg[key] = _convert(key, raw)
+    for prefix, cls in _CLASSES:
+        section(cfg, prefix, cls)
     return cfg
 
 

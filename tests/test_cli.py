@@ -8,6 +8,7 @@ import pytest
 from apiq import model_io
 from apiq.checkpoint import load_tensors, save_tensors
 from apiq.cli import build_parser, main
+from apiq.evals import write_tsv
 from apiq.model import ModelConfig, TinyTransformer
 from apiq.quant import unpack
 from apiq.runconfig import SCHEMA, default_corpus_path
@@ -192,9 +193,12 @@ class TestQuantize:
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_log_write_leaves_no_partial_tsv(self, ws, pretrained,
                                                     monkeypatch, existing):
-        def write_then_fail(fh, header, rows, config_line=None):
-            fh.write(f"config\t{config_line}\n")
+        def rows_then_fail(rows):
+            yield from rows[:1]
             raise OSError("disk full")
+
+        def write_then_fail(path, header, rows, config_line):
+            write_tsv(path, header, rows_then_fail(rows), config_line)
 
         out = ws / f"failed{int(existing)}.ckpt"
         log = ws / f"{out.name}.calib.tsv"
@@ -589,6 +593,70 @@ def test_out_in_missing_directory_exit_2_before_work(ws, pretrained, quantized, 
     assert ("--report-prefix" if command == "eval" else "--out") in err
     assert "no_dir" in err
     assert not (ws / "no_dir").exists()
+
+
+# a rule over several fields of one class, broken by a key the command
+# does not use: both commands ran with exit 0 and echoed the key in a log
+@pytest.mark.parametrize("line,named,command", [("model.n_heads = 3", "n_heads", "quantize"),
+                                                ("model.n_heads = 3", "n_heads", "eval"),
+                                                ("calib.epochs = 0", "epochs", "eval")])
+def test_multi_field_rule_exit_2_before_work(ws, pretrained, quantized, capsys, tmp_path,
+                                             line, named, command):
+    cfg = tmp_path / "rule.cfg"
+    cfg.write_text(CONFIG_TEXT + line + "\n")
+    argv = _stage_argv(command, cfg, ws, tmp_path / "rule", pretrained, quantized)
+    if command == "quantize":
+        argv += ["--method", "rtn"]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rule.cfg"]
+
+
+# a 1-block model whose corpus fits a pretrain or calibration window but
+# not one eval chunk: each command wrote its files, then failed in
+# perplexity with exit 3
+SMALL_CONFIG = """
+model.d_model = 16
+model.n_heads = 2
+model.d_ff = 32
+model.n_blocks = 1
+model.max_seq = 64
+pretrain.steps = 1
+pretrain.seq_len = 8
+calib.samples = 2
+calib.seq_len = 16
+eval.chunk_len = 64
+"""
+
+
+def _listing(root):
+    return {p.name: p.read_bytes() for p in root.iterdir()}
+
+
+def test_pretrain_short_eval_corpus_writes_nothing(ws, tmp_path, capsys):
+    (tmp_path / "small.cfg").write_text(SMALL_CONFIG)
+    (tmp_path / "corpus.txt").write_bytes((ws / "corpus.txt").read_bytes()[:32])
+    before = _listing(tmp_path)
+    assert main(["pretrain", "--config", str(tmp_path / "small.cfg"),
+                 "--corpus", str(tmp_path / "corpus.txt"),
+                 "--out", str(tmp_path / "m.ckpt")]) == 3
+    assert "shorter than one chunk" in capsys.readouterr().err
+    assert _listing(tmp_path) == before
+
+
+def test_eval_reports_short_eval_corpus_writes_nothing(ws, tmp_path, capsys):
+    (tmp_path / "small.cfg").write_text(SMALL_CONFIG)
+    model = tmp_path / "m.ckpt"
+    assert main(["pretrain", "--config", str(tmp_path / "small.cfg"), "--corpus",
+                 str(ws / "corpus.txt"), "--out", str(model)]) == 0
+    (tmp_path / "corpus.txt").write_bytes((ws / "corpus.txt").read_bytes()[:32])
+    before = _listing(tmp_path)
+    assert main(["eval", "--config", str(tmp_path / "small.cfg"), "--in", str(model),
+                 "--corpus", str(tmp_path / "corpus.txt"), "--profile-against",
+                 str(model), "--hist", "blocks.0.mlp.down",
+                 "--report-prefix", str(tmp_path / "r")]) == 3
+    assert "shorter than one chunk" in capsys.readouterr().err
+    assert _listing(tmp_path) == before
 
 
 def _tampered(src, dst, name, edit):

@@ -1,0 +1,122 @@
+"""Fuzz whole commands through the CLI.
+
+Each example runs one command (`pretrain`, `quantize` with each method,
+`finetune`, or `eval` with and without a profile and a histogram) on a
+1-block, d_model-16 model with 1 to 3 optimizer steps, over a drawn corpus
+and drawn sequence lengths and sample counts. Whatever it draws, `cli.main`
+must return an exit code of the contract (0, 2, 3 or 4) and never raise. A
+command that fails must leave its directory as it found it: the same file
+names with the same bytes. A command that succeeds must begin every TSV it
+writes with the resolved config line.
+"""
+
+import contextlib
+import io
+import shutil
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from apiq.calib import METHODS
+from apiq.cli import main
+from apiq.runconfig import default_corpus_path
+
+MAX_SEQ = 32
+# finetune.batch covers every window of a 3000-byte corpus in 3 steps
+MODEL_CONFIG = f"""
+model.d_model = 16
+model.n_heads = 2
+model.d_ff = 32
+model.n_blocks = 1
+model.max_seq = {MAX_SEQ}
+quant.group = 8
+quant.rank = 2
+calib.batch = 4
+finetune.epochs = 1
+finetune.batch = 1000
+"""
+LENGTH_KEYS = ("pretrain.seq_len", "calib.samples", "calib.seq_len",
+               "finetune.seq_len", "eval.chunk_len")
+HIST_LAYER = "blocks.0.mlp.down"
+FUZZ = settings(max_examples=400, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.too_slow])
+
+with open(default_corpus_path(), "rb") as _fh:
+    BUNDLED = _fh.read(3000)
+
+# lengths around one window or chunk as often as any length
+sizes = st.one_of(st.integers(0, 4 * MAX_SEQ), st.integers(0, len(BUNDLED)))
+corpora = st.one_of(
+    st.just(b""),
+    st.binary(min_size=1, max_size=1),
+    sizes.map(lambda n: b"\x00" * (n + 1)),
+    # 0xff never occurs in UTF-8
+    st.binary(max_size=len(BUNDLED)).map(lambda b: b"\xff" + b),
+    sizes.map(lambda n: BUNDLED[:n]),
+)
+
+commands = st.one_of(
+    st.just(["pretrain", "--out", "out.ckpt"]),
+    st.sampled_from(METHODS).map(
+        lambda m: ["quantize", "--in", "base.ckpt", "--method", m, "--out", "out.ckpt"]),
+    st.just(["finetune", "--in", "q.ckpt", "--out", "out.ckpt"]),
+    st.tuples(st.booleans(), st.booleans(), st.booleans()).map(
+        lambda t: ["eval", "--in", "q.ckpt"]
+        + ["--profile-against", "base.ckpt"] * t[0]
+        + ["--hist", HIST_LAYER] * t[1]
+        + ["--report-prefix", "r"] * t[2]),
+)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A pretrained checkpoint and its 2-bit qlora quantization."""
+    root = tmp_path_factory.mktemp("cli_fuzz")
+    (root / "run.cfg").write_text(MODEL_CONFIG + "".join(
+        f"{k} = {MAX_SEQ}\n" for k in LENGTH_KEYS) + "pretrain.steps = 3\n")
+    (root / "corpus.txt").write_bytes(BUNDLED)
+    for argv in (["pretrain", "--out", "base.ckpt"],
+                 ["quantize", "--in", "base.ckpt", "--method", "qlora",
+                  "--out", "q.ckpt"]):
+        assert _run(root, argv) == 0
+    return root
+
+
+def _run(root, argv) -> int:
+    """`cli.main` on `argv` with the config and corpus in `root` and every
+    path named relative to it; output is swallowed."""
+    argv = [argv[0], "--config", str(root / "run.cfg"),
+            "--corpus", str(root / "corpus.txt")] + [
+        str(root / a) if a.endswith(".ckpt") or a == "r" else a for a in argv[1:]]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def _listing(root) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in root.iterdir()}
+
+
+@FUZZ
+@given(argv=commands, corpus=corpora,
+       lengths=st.fixed_dictionaries({k: st.integers(1, MAX_SEQ) for k in LENGTH_KEYS}),
+       steps=st.integers(1, 3))
+def test_command_exit_code_and_files(inputs, tmp_path_factory, argv, corpus,
+                                     lengths, steps):
+    root = tmp_path_factory.mktemp("run")
+    for name in ("base.ckpt", "q.ckpt"):
+        shutil.copyfile(inputs / name, root / name)
+    (root / "run.cfg").write_text(
+        MODEL_CONFIG + "".join(f"{k} = {v}\n" for k, v in lengths.items())
+        + f"pretrain.steps = {steps}\ncalib.epochs = {steps}\n")
+    (root / "corpus.txt").write_bytes(corpus)
+    before = _listing(root)
+    code = _run(root, argv)
+    assert code in (0, 2, 3, 4)
+    after = _listing(root)
+    if code != 0:
+        assert after == before
+    for name, data in after.items():
+        if name.endswith(".tsv") and before.get(name) != data:
+            assert data.startswith(b"config\t"), name

@@ -7,8 +7,8 @@ from apiq.autodiff import log_softmax_nll
 from apiq.calib import CalibPlan, quantize_model, sample_calib
 from apiq.errors import ConfigError, InputError
 from apiq.evals import (activation_error_profile, histogram_export,
-                        histograms_to_tsv, perplexity, report_to_tsv,
-                        weight_error_report)
+                        histogram_rows, perplexity, report_rows,
+                        weight_error_report, write_tsv)
 from apiq.model import ModelConfig, TinyTransformer, linear_apply
 from apiq.quant import QuantSpec
 from apiq.rng import RngState
@@ -195,10 +195,12 @@ class TestWeightError:
                                 spec, rank=4)
         return m, rtn
 
-    def test_tsv_shape(self):
+    def test_tsv_shape(self, tmp_path):
         m, rtn = self._models(seed=2)
         rep = weight_error_report(m, rtn)
-        text = report_to_tsv(rep, config_line="seed=2")
+        path = tmp_path / "r.weight.tsv"
+        write_tsv(path, ["layer", "block", rep.kind], report_rows(rep), "seed=2")
+        text = path.read_text(encoding="utf-8")
         lines = text.strip().split("\n")
         assert lines[0] == "config\tseed=2"
         assert lines[1] == "layer\tblock\tweight-frobenius"
@@ -241,15 +243,18 @@ class TestHistograms:
         assert counts[4] == lay.lora.b.size  # all mass in the middle bin
         assert abs(centers[4]) < 1e-9
 
-    def test_q_grid_support(self):
+    def test_q_grid_support(self, tmp_path):
         _, lay = self._quantized_layer("qlora")
         centers, counts = histogram_export(lay, bins=64)["Q"]
         # 2-bit codes with 2 groups per column: distinct values per column
         # <= 4, so nonzero bins are sparse
         distinct = len(np.unique(lay.qstate.dequantized()))
         assert np.count_nonzero(counts) <= distinct
-        text = histograms_to_tsv({"Q": (centers, counts)})
-        assert text.startswith("tensor\tbin_center\tcount\n")
+        path = tmp_path / "r.hist.tsv"
+        write_tsv(path, ["tensor", "bin_center", "count"],
+                  histogram_rows({"Q": (centers, counts)}), "seed=3")
+        text = path.read_text(encoding="utf-8")
+        assert text.startswith("config\tseed=3\ntensor\tbin_center\tcount\n")
 
     def test_bins_validation(self):
         _, lay = self._quantized_layer()
