@@ -1,5 +1,7 @@
-"""The quantization step: RTN / QLoRA-default, LoftQ, and the two
-activation-preserving calibrations (layer-wise and block-wise).
+"""The quantization step: LoftQ, whose first step from A B^T = 0 is
+round-to-nearest (`rtn` is `loftq_init` at rank 0, and `qlora` those codes
+with the default adapter), and the two activation-preserving calibrations
+(layer-wise and block-wise).
 
 Layer-wise calibration minimizes, per linear layer and in dataflow order,
 
@@ -88,22 +90,22 @@ def sample_calib(corpus_tokens: np.ndarray, n_samples: int, seq_len: int,
 class AdamW:
     """Decoupled-weight-decay Adam updating numpy arrays in place.
 
-    beta1 = 0.9, beta2 = 0.999, eps = 1e-8; each group is
-    (params, lr, weight_decay) and grads are passed aligned with it.
+    Each group is (params, lr, weight_decay) and grads are passed aligned
+    with it.
     """
 
-    def __init__(self, groups: list[tuple[list[np.ndarray], float, float]],
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, groups: list[tuple[list[np.ndarray], float, float]]):
         self.groups = groups
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [[np.zeros_like(p) for p in params] for params, _, _ in groups]
         self.v = [[np.zeros_like(p) for p in params] for params, _, _ in groups]
 
     def step(self, grads: list[list[np.ndarray | None]], lr_scale: float = 1.0) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
         for (params, base_lr, wd), ms, vs, gs in zip(self.groups, self.m, self.v, grads):
             lr = base_lr * lr_scale
             for p, m, v, g in zip(params, ms, vs, gs):
@@ -111,9 +113,9 @@ class AdamW:
                     p *= (1.0 - lr * wd)
                 if g is None:
                     continue
-                m += (1.0 - self.beta1) * (g - m)
-                v += (1.0 - self.beta2) * (g * g - v)
-                p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                m += (1.0 - self.BETA1) * (g - m)
+                v += (1.0 - self.BETA2) * (g * g - v)
+                p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -136,33 +138,23 @@ def _lora_default(d1: int, d2: int, rank: int, stream: RngState) -> LoraPair | N
     return LoraPair(a=a, b=np.zeros((d2, rank), dtype=np.float32), alpha=float(rank))
 
 
-def rtn_or_qlora_init(layer: Linear, spec: QuantSpec, rank: int,
-                      stream: RngState) -> None:
-    """Round-to-nearest codes (clip factors exactly 1); adapter starts at
-    the low-rank default (B = 0), so the effective weight is f(W)."""
-    w = layer.weight
-    mins, maxs = group_minmax(w, spec.group)
-    params = clip_to_params(mins, maxs, None, spec)
-    codes = quantize(w, params, spec)
-    _freeze(layer, codes, params, None, spec,
-            _lora_default(layer.d1, layer.d2, rank, stream))
-
-
 def loftq_init(layer: Linear, spec: QuantSpec, rank: int, iters: int) -> None:
     """Alternate Q <- f(W - A B^T) and (A, B) <- top-r SVD of (W - Q),
-    starting from A = B = 0, ending on the SVD step."""
+    starting from A = B = 0, ending on the SVD step. The first step
+    quantizes W itself: at rank 0 it is the last, and leaves the
+    round-to-nearest codes with no adapter."""
     w = layer.weight
     a = np.zeros((layer.d1, rank), dtype=np.float32)
     b = np.zeros((layer.d2, rank), dtype=np.float32)
-    codes = params = None
     for _ in range(max(1, iters)):
         target = w - a @ b.T if rank else w
         mins, maxs = group_minmax(target, spec.group)
         params = clip_to_params(mins, maxs, None, spec)
         codes = quantize(target, params, spec)
-        q = dequantize(codes, params)
-        residual = w - q
-        if rank == 0 or not residual.any():
+        if rank == 0:
+            break
+        residual = w - dequantize(codes, params)
+        if not residual.any():
             break
         res = truncated_svd(residual.astype(np.float64), rank)
         a = (res.u * res.s).astype(np.float32)
@@ -339,15 +331,13 @@ def quantize_model(model: TinyTransformer, calib: CalibSet, plan: CalibPlan,
     rng = RngState(plan.seed)
     rows: list[CalibLogRow] = []
 
-    if plan.method in ("rtn", "qlora"):
-        eff_rank = 0 if plan.method == "rtn" else rank
+    if plan.method in ("rtn", "qlora", "loftq"):
+        # rtn and qlora: LoftQ's first step, then qlora's default adapter
+        loftq_rank = rank if plan.method == "loftq" else 0
         for idx, lay in enumerate(student.iter_layers()):
-            rtn_or_qlora_init(lay, spec, eff_rank, rng.derive(idx))
-        return student, rows
-
-    if plan.method == "loftq":
-        for lay in student.iter_layers():
-            loftq_init(lay, spec, rank, plan.loftq_iters)
+            loftq_init(lay, spec, loftq_rank, plan.loftq_iters)
+            if plan.method == "qlora":
+                lay.lora = _lora_default(lay.d1, lay.d2, rank, rng.derive(idx))
         return student, rows
 
     # X and X^q walk the blocks together; each block is still full

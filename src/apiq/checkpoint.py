@@ -58,18 +58,20 @@ def _entry_meta(obj) -> tuple[int, int, tuple[int, ...], bytes]:
 
 
 @contextmanager
-def atomic_open(path, mode: str = "wb", **kwargs):
-    """Open "<path>.tmp" for writing and rename it over `path` once the block
-    ends. If the block raises, the temp file is removed: a failed write
-    leaves the old file (or none), never a half-written one."""
-    tmp = f"{os.fspath(path)}.tmp"
+def atomic_write(paths):
+    """Yield a temp path "<path>.tmp" for each of `paths` to be written, and
+    rename each over its path once the block ends. If the block raises,
+    every temp file is removed: a failed write leaves the old files (or
+    none), never a half-written one, nor a new one beside an old one."""
+    tmps = [f"{os.fspath(path)}.tmp" for path in paths]
     try:
-        with open(tmp, mode, **kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
         raise
 
 
@@ -88,7 +90,7 @@ def save_tensors(path, entries: list[Entry]) -> None:
         offsets.append(cursor)
         cursor = _align(cursor + len(payload))
 
-    with atomic_open(path) as fh:
+    with atomic_write([path]) as (tmp,), open(tmp, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(entries)))
         for (nbytes, code, aux, dims, payload), off in zip(metas, offsets):

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import model_io, train
 from .calib import CalibPlan, quantize_model, sample_calib
+from .checkpoint import atomic_write
 from .errors import ConfigError, FormatError, InputError, NumericError, check
 from .evals import (BINS, activation_error_profile, histogram_export,
                     histogram_rows, perplexity, report_rows, weight_error_report,
@@ -133,40 +134,45 @@ def _calib_set(cfg: dict, corpus: np.ndarray):
                         seed=cfg["seed"])
 
 
+def _save(files: list[str], model: TinyTransformer, header: list[str], rows,
+          cfg: dict) -> None:
+    """Write the checkpoint files[0] and its log files[1], renamed together."""
+    with atomic_write(files) as (out, log):
+        model_io.save_model(model, out)
+        write_tsv(log, header, rows, canonical_config(cfg))
+
+
 def cmd_pretrain(args, cfg: dict) -> int:
-    log = f"{args.out}.train.tsv"
-    _check_out("--out", args.out, [args.out, log])
+    files = [args.out, f"{args.out}.train.tsv"]
+    _check_out("--out", args.out, files)
     model_cfg = section(cfg, "model", ModelConfig)
     _check_lengths(cfg, model_cfg.max_seq, "pretrain.seq_len", "eval.chunk_len")
     corpus = _corpus_tokens(args.corpus)
     model = TinyTransformer.init(model_cfg, seed=cfg["seed"])
     rows = train.pretrain(model, corpus, **section(cfg, "pretrain"))
     ppl = perplexity(model, corpus, cfg["eval.chunk_len"])
-    model_io.save_model(model, args.out)
-    write_tsv(log, ["step", "loss"], [(r.step, r.loss) for r in rows],
-              canonical_config(cfg))
+    _save(files, model, ["step", "loss"], [(r.step, r.loss) for r in rows], cfg)
     print(f"final_train_ppl\t{ppl!r}")
     return EXIT_OK
 
 
 def cmd_quantize(args, cfg: dict) -> int:
-    log = f"{args.out}.calib.tsv"
-    _check_out("--out", args.out, [args.out, log])
+    files = [args.out, f"{args.out}.calib.tsv"]
+    _check_out("--out", args.out, files)
     spec = section(cfg, "quant", QuantSpec)
     plan = section(cfg, "calib", CalibPlan)
     model = model_io.load_model(args.input)
     _check_lengths(cfg, model.config.max_seq, "calib.seq_len")
     calib = _calib_set(cfg, _corpus_tokens(args.corpus))
     qmodel, rows = quantize_model(model, calib, plan, spec, rank=cfg["quant.rank"])
-    model_io.save_model(qmodel, args.out)
-    write_tsv(log, ["layer", "epoch", "loss"],
-              [(r.unit, r.epoch, r.loss) for r in rows], canonical_config(cfg))
+    _save(files, qmodel, ["layer", "epoch", "loss"],
+          [(r.unit, r.epoch, r.loss) for r in rows], cfg)
     return EXIT_OK
 
 
 def cmd_finetune(args, cfg: dict) -> int:
-    log = f"{args.out}.finetune.tsv"
-    _check_out("--out", args.out, [args.out, log])
+    files = [args.out, f"{args.out}.finetune.tsv"]
+    _check_out("--out", args.out, files)
     model = model_io.load_model(args.input)
     _check_lengths(cfg, model.config.max_seq, "finetune.seq_len", "eval.chunk_len")
     corpus = _corpus_tokens(args.corpus)
@@ -176,10 +182,8 @@ def cmd_finetune(args, cfg: dict) -> int:
 
     rows = train.finetune(model, corpus, corpus, **section(cfg, "finetune"),
                           chunk_len=cfg["eval.chunk_len"], on_epoch=on_epoch)
-    model_io.save_model(model, args.out)
-    write_tsv(log, ["epoch", "step", "loss", "ppl"],
-              [(r.epoch, r.step, r.loss, "" if r.ppl is None else r.ppl) for r in rows],
-              canonical_config(cfg))
+    _save(files, model, ["epoch", "step", "loss", "ppl"],
+          [(r.epoch, r.step, r.loss, "" if r.ppl is None else r.ppl) for r in rows], cfg)
     return EXIT_OK
 
 
@@ -213,8 +217,9 @@ def cmd_eval(args, cfg: dict) -> int:
                         histogram_rows(hists)))
 
     ppl = perplexity(model, corpus, cfg["eval.chunk_len"])
-    for path, header, rows in reports:
-        write_tsv(path, header, rows, canonical_config(cfg))
+    with atomic_write([path for path, _, _ in reports]) as tmps:
+        for tmp, (_, header, rows) in zip(tmps, reports):
+            write_tsv(tmp, header, rows, canonical_config(cfg))
     print(repr(ppl))
     return EXIT_OK
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Var, log_softmax_nll, matmul
-from .checkpoint import atomic_open
+from .checkpoint import atomic_write
 from .errors import InputError, NumericError, check
 from .model import Linear, TinyTransformer, forward_block, linear_apply
 
@@ -168,7 +168,7 @@ def write_tsv(path, header: list[str], rows, config_line: str) -> None:
     """Write `path` as UTF-8 tab-separated lines: the config line, the header
     and the rows (floats by `repr`), atomically, so a failed write leaves
     the old file or none."""
-    with atomic_open(path, "w", encoding="utf-8") as fh:
+    with atomic_write([path]) as (tmp,), open(tmp, "w", encoding="utf-8") as fh:
         fh.write(f"config\t{config_line}\n")
         fh.write("\t".join(header) + "\n")
         for row in rows:

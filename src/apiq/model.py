@@ -52,6 +52,7 @@ from .rng import RngState
 ATTN_LAYERS = ("q", "k", "v", "o")
 MLP_LAYERS = ("gate", "up", "down")
 BLOCK_LAYERS = ATTN_LAYERS + MLP_LAYERS
+INIT_STD = 0.02  # of the initial embedding and projection weights
 
 
 @dataclass(frozen=True)
@@ -163,16 +164,15 @@ class TinyTransformer:
                        for lay in block.layers.values()}
 
     @classmethod
-    def init(cls, config: ModelConfig, seed: int, init_std: float = 0.02,
-             dtype=np.float32) -> "TinyTransformer":
+    def init(cls, config: ModelConfig, seed: int, dtype=np.float32) -> "TinyTransformer":
         model = cls(config, dtype=dtype)
         rng = RngState(seed)
-        model.embed = (rng.derive(0).randn(model.embed.shape) * init_std).astype(dtype)
+        model.embed = (rng.derive(0).randn(model.embed.shape) * INIT_STD).astype(dtype)
         for i, block in enumerate(model.blocks):
             for j, lname in enumerate(BLOCK_LAYERS):
                 lay = block.layers[lname]
                 stream = rng.derive(1000 + i * 16 + j)
-                lay.weight = (stream.randn((lay.d1, lay.d2)) * init_std).astype(dtype)
+                lay.weight = (stream.randn((lay.d1, lay.d2)) * INIT_STD).astype(dtype)
         return model
 
     def iter_layers(self):

@@ -10,10 +10,12 @@ rows per column. Per group,
 
 With `clip=None` the sigmoid factors are exactly 1 and the formulas reduce
 to plain round-to-nearest affine quantization. Rounding is half-to-even
-throughout. `ste_fake_quant` is the same computation recorded on the
-autodiff tape with straight-through rounding, so the clipping parameters
-receive gradients through both s and z; its forward output is bitwise
-identical to `fake_quant`.
+throughout. The (s, z), codes and Q lines are each one function of
+autodiff ops (`_scale_zero`, `_codes`, `_dequant`) that both paths call:
+`clip_to_params`, `quantize` and `dequantize` on constants, which no tape
+records, and `ste_fake_quant` on the tape, with sig(gamma), sig(beta) and
+straight-through rounds, so the clipping logits train through both s and
+z and the frozen codes are bitwise those the calibration loss saw.
 
 Codes are stored LSB-first in a packed bitstream, each row padded to a
 byte boundary; this byte layout is a stable external format.
@@ -85,41 +87,57 @@ class PackedCodes:
         return (self.shape[1] * self.bits + 7) // 8
 
 
+def _scale_zero(cg, cb, mins, maxs, qmax: int) -> tuple[ad.Var, ad.Var]:
+    """Per-group scale s and zero-point z from the clip factors (cg, cb)
+    and the group extrema."""
+    diff = ad.sub(ad.mul(cg, maxs), ad.mul(cb, mins))
+    s = ad.maximum(ad.div(diff, diff.value.dtype.type(qmax)), SCALE_FLOOR)
+    z = ad.clamp(ad.round_ste(ad.neg(ad.div(ad.mul(cb, mins), s))), 0.0, float(qmax))
+    return s, z
+
+
+def _grouped(n_groups: int, *xs) -> list[ad.Var]:
+    """Each (d1, d2) matrix as (n_groups, d1 / n_groups, d2), and each
+    per-group (n_groups, d2) array as (n_groups, 1, d2), broadcast to it."""
+    return [ad.reshape(x, (n_groups, -1, x.shape[-1])) for x in xs]
+
+
+def _codes(w3, s3, z3, qmax: int) -> ad.Var:
+    """Grouped codes clamp(round(W / s) + z, 0, qmax), as floats."""
+    return ad.clamp(ad.add(ad.round_ste(ad.div(w3, s3)), z3), 0.0, float(qmax))
+
+
+def _dequant(codes3, s3, z3) -> ad.Var:
+    """Grouped Q = s * (codes - z)."""
+    return ad.mul(s3, ad.sub(codes3, z3))
+
+
 def clip_to_params(mins: np.ndarray, maxs: np.ndarray,
                    clip: ClipParams | None, spec: QuantSpec) -> GroupParams:
     """Per-group (s, z) from group extrema and optional clipping logits."""
     mins = np.asarray(mins)
-    maxs = np.asarray(maxs)
     if clip is None:
         cg = cb = mins.dtype.type(1.0)
     else:
-        cg = ad.sigmoid_fwd(clip.gamma)
-        cb = ad.sigmoid_fwd(clip.beta)
-    s_raw = (cg * maxs - cb * mins) / spec.qmax
-    s = np.maximum(s_raw, SCALE_FLOOR)
-    z = np.clip(np.rint(-((cb * mins) / s)), 0.0, spec.qmax)
-    return GroupParams(scale=s, zero=z)
+        cg, cb = ad.sigmoid(clip.gamma), ad.sigmoid(clip.beta)
+    s, z = _scale_zero(cg, cb, mins, maxs, spec.qmax)
+    return GroupParams(scale=s.value, zero=z.value)
 
 
 def quantize(w: np.ndarray, params: GroupParams, spec: QuantSpec) -> np.ndarray:
     """Integer codes in [0, 2^b - 1] for a (d1, d2) weight matrix."""
     w = np.asarray(w)
-    n_groups = params.scale.shape[0]
-    d1, d2 = w.shape
-    w3 = w.reshape(n_groups, d1 // n_groups, d2)
-    t = np.rint(w3 / params.scale[:, None, :])
-    codes = np.clip(t + params.zero[:, None, :], 0.0, spec.qmax)
-    return codes.reshape(d1, d2).astype(np.uint8)
+    codes = _codes(*_grouped(params.scale.shape[0], w, params.scale, params.zero),
+                   spec.qmax)
+    return codes.value.reshape(w.shape).astype(np.uint8)
 
 
 def dequantize(codes: np.ndarray, params: GroupParams) -> np.ndarray:
     """Q = s * (codes - z), back at full shape, f32."""
     codes = np.asarray(codes)
-    n_groups = params.scale.shape[0]
-    d1, d2 = codes.shape
-    c3 = codes.reshape(n_groups, d1 // n_groups, d2).astype(np.float32)
-    q = params.scale[:, None, :] * (c3 - params.zero[:, None, :])
-    return q.reshape(d1, d2)
+    q = _dequant(*_grouped(params.scale.shape[0], codes.astype(np.float32),
+                           params.scale, params.zero))
+    return q.value.reshape(codes.shape)
 
 
 def fake_quant(w: np.ndarray, clip: ClipParams | None, spec: QuantSpec) -> np.ndarray:
@@ -139,28 +157,13 @@ def ste_fake_quant(w, gamma, beta, spec: QuantSpec,
     clamp gates gradients, and the zero-point's round is also
     straight-through so beta trains through both s and z.
     """
-    w = w if isinstance(w, ad.Var) else ad.Var(np.asarray(w))
-    d1, d2 = w.value.shape
-    n_groups = mins.shape[0]
-    qmax = float(spec.qmax)
-
-    cg = ad.sigmoid(gamma)
-    cb = ad.sigmoid(beta)
-    diff = ad.sub(ad.mul(cg, maxs), ad.mul(cb, mins))
-    s_raw = ad.div(diff, diff.value.dtype.type(spec.qmax))
-    s = ad.maximum(s_raw, SCALE_FLOOR)
-    z = ad.clamp(ad.round_ste(ad.neg(ad.div(ad.mul(cb, mins), s))), 0.0, qmax)
-
-    s3 = ad.reshape(s, (n_groups, 1, d2))
-    z3 = ad.reshape(z, (n_groups, 1, d2))
-    w3 = ad.reshape(w, (n_groups, d1 // n_groups, d2))
-    t = ad.round_ste(ad.div(w3, s3))
-    codes = ad.clamp(ad.add(t, z3), 0.0, qmax)
+    s, z = _scale_zero(ad.sigmoid(gamma), ad.sigmoid(beta), mins, maxs, spec.qmax)
+    s3, z3, w3 = _grouped(mins.shape[0], s, z, w)
+    codes = _codes(w3, s3, z3, spec.qmax)
     # + 0.0 normalizes any -0.0 code so the forward value is bit-identical
     # to the plain path, where codes round-trip through integers
     codes = ad.add(codes, codes.value.dtype.type(0.0))
-    q = ad.mul(s3, ad.sub(codes, z3))
-    return ad.reshape(q, (d1, d2))
+    return ad.reshape(_dequant(codes, s3, z3), w.shape)
 
 
 def pack(codes: np.ndarray, spec: QuantSpec) -> PackedCodes:

@@ -1,5 +1,4 @@
 import os
-import time
 
 # Fixed thread count before numpy loads: results are bitwise reproducible
 # only at a fixed thread count, and desk-scale matrices gain nothing from
@@ -13,8 +12,6 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from apiq.runconfig import default_corpus_path, load_corpus  # noqa: E402
-
-SESSION_T0 = time.monotonic()
 
 
 @pytest.fixture(scope="session")

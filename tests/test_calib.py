@@ -5,8 +5,7 @@ import pytest
 
 from apiq import autodiff as ad
 from apiq.calib import (AdamW, CalibPlan, apiq_bw_block, apiq_lw_layer,
-                        loftq_init, quantize_model, rtn_or_qlora_init,
-                        sample_calib)
+                        loftq_init, quantize_model, sample_calib)
 from apiq.errors import ConfigError, InputError, NumericError
 from apiq.evals import activation_error_profile
 from apiq.linalg import group_minmax
@@ -107,21 +106,27 @@ class TestPlanAndData:
 
 
 class TestBaselineInits:
-    def test_qlora_effective_weight_is_fake_quant(self):
+    """rtn and qlora: LoftQ's first step (loftq_init at rank 0), then for
+    qlora the default adapter."""
+
+    def test_qlora_effective_weight_is_fake_quant(self, toy_setup):
+        model, calib = toy_setup
         spec = QuantSpec(bits=2, group=8)
-        w = (RngState(2).randn((16, 8)) * 0.1).astype(np.float32)
-        lay = _linear("blocks.0.attn.q", w)
-        rtn_or_qlora_init(lay, spec, rank=4, stream=RngState(5))
-        assert np.array_equal(lay.effective_weight(), fake_quant(w, None, spec))
-        assert np.all(lay.lora.b == 0.0)
-        bound = 1.0 / np.sqrt(16)
-        assert np.all(np.abs(lay.lora.a) <= bound)
+        qm, rows = quantize_model(model, calib, CalibPlan(method="qlora", seed=5),
+                                  spec, rank=4)
+        assert rows == []
+        for lay, ql in zip(model.iter_layers(), qm.iter_layers()):
+            assert np.array_equal(ql.effective_weight(),
+                                  fake_quant(lay.weight, None, spec))
+            assert np.all(ql.lora.b == 0.0)
+            bound = 1.0 / np.sqrt(lay.d1)
+            assert np.all(np.abs(ql.lora.a) <= bound)
 
     def test_weight_error_is_fake_quant_residual(self):
         spec = QuantSpec(bits=2, group=8)
         w = (RngState(3).randn((8, 8)) * 0.2).astype(np.float32)
         lay = _linear("blocks.0.attn.q", w)
-        rtn_or_qlora_init(lay, spec, rank=2, stream=RngState(6))
+        loftq_init(lay, spec, rank=0, iters=5)
         err = np.linalg.norm(w - lay.effective_weight())
         assert np.isclose(err, np.linalg.norm(w - fake_quant(w, None, spec)))
 
@@ -132,7 +137,7 @@ class TestBaselineInits:
         grid[-1, :] = 3
         w = grid.astype(np.float32) * np.float32(0.25)
         lay = _linear("blocks.0.attn.q", w)
-        rtn_or_qlora_init(lay, spec, rank=0, stream=RngState(7))
+        loftq_init(lay, spec, rank=0, iters=5)
         assert lay.lora is None
         assert np.array_equal(lay.effective_weight(), w)
 

@@ -34,6 +34,10 @@ eval.chunk_len = 64
 """
 
 
+# the log each command writes beside --out, as "<out>.<log>.tsv"
+LOGS = {"pretrain": "train", "quantize": "calib", "finetune": "finetune"}
+
+
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -191,8 +195,11 @@ class TestQuantize:
         assert body(outs[0][1]) == body(outs[1][1])
 
     @pytest.mark.parametrize("existing", [False, True])
-    def test_failed_log_write_leaves_no_partial_tsv(self, ws, pretrained,
-                                                    monkeypatch, existing):
+    @pytest.mark.parametrize("command", ["pretrain", "quantize", "finetune"])
+    def test_failed_log_write_leaves_no_partial_tsv(self, ws, pretrained, quantized,
+                                                    monkeypatch, command, existing):
+        """A log write that fails leaves neither a new checkpoint nor a new
+        log: --out and its log keep their old bytes, or stay absent."""
         def rows_then_fail(rows):
             yield from rows[:1]
             raise OSError("disk full")
@@ -200,19 +207,24 @@ class TestQuantize:
         def write_then_fail(path, header, rows, config_line):
             write_tsv(path, header, rows_then_fail(rows), config_line)
 
-        out = ws / f"failed{int(existing)}.ckpt"
-        log = ws / f"{out.name}.calib.tsv"
+        out = ws / f"failed-{command}{int(existing)}.ckpt"
+        log = ws / f"{out.name}.{LOGS[command]}.tsv"
         if existing:
+            out.write_bytes(b"old checkpoint")
             log.write_text("old log\n")
+        argv = {"pretrain": ["--corpus", str(ws / "corpus.txt")],
+                "quantize": ["--in", str(pretrained), "--method", "rtn", "--bits", "2"],
+                "finetune": ["--in", str(quantized), "--corpus", str(ws / "corpus.txt")]}
         monkeypatch.setattr("apiq.cli.write_tsv", write_then_fail)
         with pytest.raises(OSError, match="disk full"):
-            main(["quantize", "--config", str(ws / "run.cfg"), "--in", str(pretrained),
-                  "--method", "rtn", "--bits", "2", "--out", str(out)])
+            main([command, "--config", str(ws / "run.cfg"), *argv[command],
+                  "--out", str(out)])
         if existing:
+            assert out.read_bytes() == b"old checkpoint"
             assert log.read_text() == "old log\n"
         else:
-            assert not log.exists()
-        assert not (ws / f"{log.name}.tmp").exists()
+            assert not out.exists() and not log.exists()
+        assert not [p.name for p in ws.iterdir() if p.name.endswith(".tmp")]
 
     def test_missing_checkpoint_exit_3(self, ws):
         assert main(["quantize", "--in", str(ws / "nope.ckpt"),

@@ -8,6 +8,13 @@ must return an exit code of the contract (0, 2, 3 or 4) and never raise. A
 command that fails must leave its directory as it found it: the same file
 names with the same bytes. A command that succeeds must begin every TSV it
 writes with the resolved config line.
+
+A second fuzz draws where the outputs go: `--out` or `--report-prefix` in
+a missing directory, or an existing directory in place of the checkpoint
+or of a TSV derived from `--out`, `--report-prefix` or `--in`. A command
+that would write such a file must exit 2 and leave its directory as it
+was; any other must succeed. Its inputs are few enough (330 distinct
+examples) that hypothesis runs out of new ones before `max_examples`.
 """
 
 import contextlib
@@ -88,14 +95,16 @@ def _run(root, argv) -> int:
     path named relative to it; output is swallowed."""
     argv = [argv[0], "--config", str(root / "run.cfg"),
             "--corpus", str(root / "corpus.txt")] + [
-        str(root / a) if a.endswith(".ckpt") or a == "r" else a for a in argv[1:]]
+        str(root / a) if a.endswith(".ckpt") or a.split("/")[-1] == "r" else a
+        for a in argv[1:]]
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         return main(argv)
 
 
-def _listing(root) -> dict[str, bytes]:
-    return {p.name: p.read_bytes() for p in root.iterdir()}
+def _listing(root) -> dict[str, bytes | None]:
+    """Each name in `root` with its bytes; None for a directory."""
+    return {p.name: None if p.is_dir() else p.read_bytes() for p in root.iterdir()}
 
 
 @FUZZ
@@ -120,3 +129,59 @@ def test_command_exit_code_and_files(inputs, tmp_path_factory, argv, corpus,
     for name, data in after.items():
         if name.endswith(".tsv") and before.get(name) != data:
             assert data.startswith(b"config\t"), name
+
+
+# the log each command writes beside --out, as "<out>.<log>.tsv"
+LOGS = {"pretrain": "train", "quantize": "calib", "finetune": "finetune"}
+REPORTS = ("act", "weight", "hist")
+# every file a command may write, by the name it has in `commands`
+OUTPUTS = (["out.ckpt"] + [f"out.ckpt.{log}.tsv" for log in LOGS.values()]
+           + [f"{prefix}.{kind}.tsv" for prefix in ("r", "q.ckpt") for kind in REPORTS])
+# a valid run: one pretrain step and one calibration epoch on 4 samples
+PATHS_CONFIG = MODEL_CONFIG + "".join(f"{k} = {MAX_SEQ}\n" for k in LENGTH_KEYS) + """
+calib.samples = 4
+calib.epochs = 1
+pretrain.steps = 1
+"""
+PATHS_FUZZ = settings(max_examples=500, deadline=None, derandomize=True,
+                      suppress_health_check=[HealthCheck.too_slow])
+
+
+def _writes(argv) -> list[str]:
+    """The files a successful `argv` writes, named as in `argv`."""
+    if argv[0] != "eval":
+        out = argv[argv.index("--out") + 1]
+        return [out, f"{out}.{LOGS[argv[0]]}.tsv"]
+    prefix = (argv[argv.index("--report-prefix") + 1] if "--report-prefix" in argv
+              else argv[argv.index("--in") + 1])
+    kinds = REPORTS[:2] * ("--profile-against" in argv) + REPORTS[2:] * ("--hist" in argv)
+    return [f"{prefix}.{kind}.tsv" for kind in kinds]
+
+
+def _in_missing_directory(argv) -> list[str]:
+    """`argv` with --out, or for eval --report-prefix, in "missing/"."""
+    if argv[0] != "eval":
+        return [f"missing/{a}" if a == "out.ckpt" else a for a in argv]
+    i = argv.index("--report-prefix") if "--report-prefix" in argv else len(argv)
+    return argv[:i] + argv[i + 2:] + ["--report-prefix", "missing/r"]
+
+
+@PATHS_FUZZ
+@given(argv=commands, missing=st.booleans(),
+       obstacle=st.one_of(st.none(), st.sampled_from(OUTPUTS)))
+def test_unwritable_output_exit_2_and_no_change(inputs, tmp_path_factory, argv,
+                                                missing, obstacle):
+    root = tmp_path_factory.mktemp("paths")
+    for name in ("base.ckpt", "q.ckpt", "corpus.txt"):
+        shutil.copyfile(inputs / name, root / name)
+    (root / "run.cfg").write_text(PATHS_CONFIG)
+    if missing:
+        argv = _in_missing_directory(argv)
+    if obstacle is not None:
+        (root / obstacle).mkdir()
+    writes = _writes(argv)
+    blocked = (missing and writes) or obstacle in writes
+    before = _listing(root)
+    assert _run(root, argv) == (2 if blocked else 0)
+    if blocked:
+        assert _listing(root) == before

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from apiq import autodiff as ad
 from apiq.errors import FormatError
 from apiq.linalg import group_minmax
-from apiq.quant import (SCALE_FLOOR, ClipParams, GroupParams, QuantSpec,
-                        clip_to_params, dequantize, fake_quant, pack,
+from apiq.quant import (BITS, GRANULARITIES, SCALE_FLOOR, ClipParams, GroupParams,
+                        QuantSpec, clip_to_params, dequantize, fake_quant, pack,
                         quantize, ste_fake_quant, unpack)
 from apiq.rng import RngState
 
@@ -192,6 +193,137 @@ class TestSte:
         with ad.surrogate_round():
             rep = ad.gradcheck(loss_fn, [g, b])
         assert rep.max_rel_err <= 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the quantizer against its arithmetic written out in full
+# ---------------------------------------------------------------------------
+
+def _ref_params(mins, maxs, clip, spec):
+    """(s, z) as plain numpy formulas."""
+    if clip is None:
+        cg = cb = mins.dtype.type(1.0)
+    else:
+        cg, cb = ad.sigmoid_fwd(clip.gamma), ad.sigmoid_fwd(clip.beta)
+    s = np.maximum((cg * maxs - cb * mins) / spec.qmax, SCALE_FLOOR)
+    z = np.clip(np.rint(-((cb * mins) / s)), 0.0, spec.qmax)
+    return s, z
+
+
+def _ref_quantize(w, s, z, spec):
+    n, (d1, d2) = s.shape[0], w.shape
+    t = np.rint(w.reshape(n, d1 // n, d2) / s[:, None, :])
+    return np.clip(t + z[:, None, :], 0.0, spec.qmax).reshape(d1, d2).astype(np.uint8)
+
+
+def _ref_dequantize(codes, s, z):
+    n, (d1, d2) = s.shape[0], codes.shape
+    c3 = codes.reshape(n, d1 // n, d2).astype(np.float32)
+    return (s[:, None, :] * (c3 - z[:, None, :])).reshape(d1, d2)
+
+
+def _ref_ste_chain(w, gamma, beta, spec, mins, maxs):
+    """Fake quantization as one chain of 23 tape primitives."""
+    w = w if isinstance(w, ad.Var) else ad.Var(np.asarray(w))
+    d1, d2 = w.value.shape
+    n = mins.shape[0]
+    qmax = float(spec.qmax)
+    cg = ad.sigmoid(gamma)
+    cb = ad.sigmoid(beta)
+    diff = ad.sub(ad.mul(cg, maxs), ad.mul(cb, mins))
+    s = ad.maximum(ad.div(diff, diff.value.dtype.type(spec.qmax)), SCALE_FLOOR)
+    z = ad.clamp(ad.round_ste(ad.neg(ad.div(ad.mul(cb, mins), s))), 0.0, qmax)
+    s3 = ad.reshape(s, (n, 1, d2))
+    z3 = ad.reshape(z, (n, 1, d2))
+    w3 = ad.reshape(w, (n, d1 // n, d2))
+    codes = ad.clamp(ad.add(ad.round_ste(ad.div(w3, s3)), z3), 0.0, qmax)
+    codes = ad.add(codes, codes.value.dtype.type(0.0))
+    return ad.reshape(ad.mul(s3, ad.sub(codes, z3)), (d1, d2))
+
+
+# per (group, column): 0 drawn values, 1 a constant group, 2 nonnegative
+# values whose minimum is tiny and positive (a -0.0 zero-point)
+_PLAIN, _CONSTANT, _TINY_MIN = range(3)
+
+
+@st.composite
+def quant_cases(draw):
+    """(w, clip or None, spec): 1 to 3 groups of 1 to 6 rows, f32 or f64."""
+    spec = QuantSpec(bits=draw(st.sampled_from(BITS)), group=draw(st.integers(1, 6)),
+                     clip_granularity=draw(st.sampled_from(GRANULARITIES)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n, d2 = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    w = draw(arrays(dtype, (n * spec.group, d2),
+                    elements=st.floats(-4.0, 4.0, width=32)))
+    kinds = draw(arrays(np.int8, (n, d2), elements=st.integers(0, 2)))
+    w3 = w.reshape(n, spec.group, d2)
+    for g, j in zip(*np.nonzero(kinds == _CONSTANT)):
+        w3[g, :, j] = w3[g, 0, j]
+    for g, j in zip(*np.nonzero(kinds == _TINY_MIN)):
+        w3[g, :, j] = np.abs(w3[g, :, j]) + dtype(1.0)
+        w3[g, 0, j] = dtype(1e-30)
+    clip = None
+    if draw(st.booleans()):
+        shape = () if spec.clip_granularity == "per-matrix" else (n, d2)
+        logits = arrays(dtype, shape, elements=st.floats(-6.0, 8.0, width=32))
+        clip = ClipParams(gamma=draw(logits), beta=draw(logits))
+    return w, clip, spec
+
+
+SAME_ARITHMETIC = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+class TestSameArithmetic:
+    """`clip_to_params`, `quantize`, `dequantize` and `ste_fake_quant` give
+    the bits of the formulas above, gradients included."""
+
+    def test_tiny_positive_minimum_gives_negative_zero_point(self):
+        spec = QuantSpec(bits=2, group=2)
+        w = np.array([[1e-30], [1.0]], dtype=np.float32)
+        p = clip_to_params(*group_minmax(w, 2), None, spec)
+        assert p.zero[0, 0] == 0.0 and np.signbit(p.zero[0, 0])
+
+    @SAME_ARITHMETIC
+    @given(case=quant_cases())
+    def test_frozen_path_gives_reference_bytes(self, case):
+        w, clip, spec = case
+        mins, maxs = group_minmax(w, spec.group)
+        s, z = _ref_params(mins, maxs, clip, spec)
+        p = clip_to_params(mins, maxs, clip, spec)
+        for got, ref in ((p.scale, s), (p.zero, z)):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        codes = quantize(w, p, spec)
+        ref_codes = _ref_quantize(w, s, z, spec)
+        assert codes.dtype == np.uint8 and codes.tobytes() == ref_codes.tobytes()
+        q, ref_q = dequantize(codes, p), _ref_dequantize(ref_codes, s, z)
+        assert q.dtype == ref_q.dtype and q.tobytes() == ref_q.tobytes()
+
+    @SAME_ARITHMETIC
+    @given(case=quant_cases(), w_trains=st.booleans())
+    def test_taped_path_gives_reference_values_and_gradients(self, case, w_trains):
+        w, clip, spec = case
+        if clip is None:
+            clip = ClipParams.init(spec, *w.shape)
+        mins, maxs = group_minmax(w, spec.group)
+        target = w[::-1] * w.dtype.type(0.5)
+        runs = []
+        for fq in (ste_fake_quant, _ref_ste_chain):
+            wv = ad.Var(w.copy(), requires_grad=True) if w_trains else w
+            g, b = ad.param(clip.gamma.copy()), ad.param(clip.beta.copy())
+            with ad.Tape() as tape:
+                q = fq(wv, g, b, spec, mins, maxs)
+                loss = ad.mse(q, target)
+            ops = [op for op, _ in tape.entries]
+            ad.backward(tape, loss)
+            grads = [g.grad, b.grad] + ([wv.grad] if w_trains else [])
+            runs.append((ops, q.value, grads))
+        (ops, q, grads), (ref_ops, ref_q, ref_grads) = runs
+        assert ops == ref_ops
+        assert q.dtype == ref_q.dtype and q.tobytes() == ref_q.tobytes()
+        for got, ref in zip(grads, ref_grads):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        # the taped forward is the frozen path's fake quantization
+        assert q.tobytes() == fake_quant(w, clip, spec).tobytes()
 
 
 class TestPack:
