@@ -54,6 +54,8 @@ class CalibPlan:
     lr_lora: float = field(default=0.001, metadata={"above": 0})
     weight_decay: float = field(default=0.1, metadata={"lo": 0})
     loftq_iters: int = field(default=5, metadata={"lo": 0})
+    samples: int = field(default=16, metadata={"lo": 1})
+    seq_len: int = field(default=128, metadata={"lo": 1})
     seed: int = 0
     clip_init: float = 4.0
 
@@ -269,20 +271,19 @@ def _calibrate(states: list[_TrainableQuant], forward, x_q: np.ndarray,
     return rows
 
 
-def apiq_lw_layer(layer: Linear, x_full: np.ndarray, x_q: np.ndarray,
+def apiq_lw_layer(layer: Linear, y_full: np.ndarray, x_q: np.ndarray,
                   plan: CalibPlan, spec: QuantSpec, rank: int,
-                  stream: RngState) -> tuple[np.ndarray, np.ndarray, list[CalibLogRow]]:
-    """Calibrate one linear layer in place; returns (Y, Y^q, log rows).
+                  stream: RngState) -> tuple[np.ndarray, list[CalibLogRow]]:
+    """Calibrate one linear layer in place against its full-precision
+    output Y = X W; returns (Y^q, log rows).
 
-    Y is the full-precision output X W (saved for the next layer of the
-    full path); Y^q is X^q (Q + A B^T) with the retained parameters, i.e.
-    exactly what the frozen layer will produce at inference.
+    Y^q is X^q (Q + A B^T) with the retained parameters, i.e. exactly what
+    the frozen layer will produce at inference.
     """
-    y_full = x_full @ layer.weight
     state = _TrainableQuant.create(layer, spec, rank, stream, plan.clip_init)
     rows = _calibrate([state], lambda x, bound: linear_apply(layer, ad.Var(x), bound),
                       x_q, y_full, plan, spec, layer.name)
-    return y_full, x_q @ layer.effective_weight(), rows
+    return x_q @ layer.effective_weight(), rows
 
 
 def apiq_bw_block(block: Block, x_full: np.ndarray, x_q: np.ndarray,
@@ -346,15 +347,16 @@ def quantize_model(model: TinyTransformer, calib: CalibSet, plan: CalibPlan,
     cfg = student.config
     if plan.method == "apiq-lw":
         stream_index = {name: idx for idx, name in enumerate(student.layers)}
-        x_in: dict[str, np.ndarray] = {}
+        y_out: dict[str, np.ndarray] = {}
 
         def record(layer: Linear, xv: ad.Var) -> ad.Var:
-            x_in[layer.name] = xv.value
-            return linear_apply(layer, xv)
+            y = linear_apply(layer, xv)
+            y_out[layer.name] = y.value
+            return y
 
         def calibrate(layer: Linear, xv: ad.Var) -> ad.Var:
-            _, y_q, lrows = apiq_lw_layer(
-                layer, x_in[layer.name], xv.value, plan, spec, rank,
+            y_q, lrows = apiq_lw_layer(
+                layer, y_out.pop(layer.name), xv.value, plan, spec, rank,
                 rng.derive(stream_index[layer.name]))
             rows.extend(lrows)
             return ad.Var(y_q)

@@ -57,13 +57,18 @@ def _entry_meta(obj) -> tuple[int, int, tuple[int, ...], bytes]:
     raise ValueError(f"unsupported tensor dtype {arr.dtype}")
 
 
+def temp_path(path) -> str:
+    """The name `atomic_write` writes `path` under before renaming it."""
+    return f"{os.fspath(path)}.tmp"
+
+
 @contextmanager
 def atomic_write(paths):
-    """Yield a temp path "<path>.tmp" for each of `paths` to be written, and
-    rename each over its path once the block ends. If the block raises,
-    every temp file is removed: a failed write leaves the old files (or
-    none), never a half-written one, nor a new one beside an old one."""
-    tmps = [f"{os.fspath(path)}.tmp" for path in paths]
+    """Yield the `temp_path` of each of `paths` to be written, and rename
+    each over its path once the block ends. If the block raises, every
+    temp file is removed: a failed write leaves the old files (or none),
+    never a half-written one, nor a new one beside an old one."""
+    tmps = [temp_path(path) for path in paths]
     try:
         yield tmps
         for tmp, path in zip(tmps, paths):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import model_io, train
 from .calib import CalibPlan, quantize_model, sample_calib
-from .checkpoint import atomic_write
+from .checkpoint import atomic_write, temp_path
 from .errors import ConfigError, FormatError, InputError, NumericError, check
 from .evals import (BINS, activation_error_profile, histogram_export,
                     histogram_rows, perplexity, report_rows, weight_error_report,
@@ -102,12 +102,13 @@ def _keep_freed_memory() -> None:
 
 def _check_out(flag: str, path: str, files) -> None:
     """Reject, before any work is done, each of the `files` a command will
-    write (named from `path`, the value of `flag`) that is a directory or
-    whose directory does not exist."""
+    write (named from `path`, the value of `flag`) that or whose temp path
+    is a directory, or whose directory does not exist."""
     for out in files:
         parent = os.path.dirname(out) or "."
-        if os.path.isdir(out):
-            raise ConfigError(f"{flag} {path}: {out} is a directory")
+        for name in (out, temp_path(out)):
+            if os.path.isdir(name):
+                raise ConfigError(f"{flag} {path}: {name} is a directory")
         if not os.path.isdir(parent):
             raise ConfigError(f"{flag} {path}: directory {parent} does not exist")
 
@@ -129,9 +130,8 @@ def _check_lengths(cfg: dict, max_seq: int, *keys: str) -> None:
             raise ConfigError(f"{key} {cfg[key]} exceeds the model's max_seq {max_seq}")
 
 
-def _calib_set(cfg: dict, corpus: np.ndarray):
-    return sample_calib(corpus, cfg["calib.samples"], cfg["calib.seq_len"],
-                        seed=cfg["seed"])
+def _calib_set(plan: CalibPlan, corpus: np.ndarray):
+    return sample_calib(corpus, plan.samples, plan.seq_len, seed=plan.seed)
 
 
 def _save(files: list[str], model: TinyTransformer, header: list[str], rows,
@@ -149,7 +149,7 @@ def cmd_pretrain(args, cfg: dict) -> int:
     _check_lengths(cfg, model_cfg.max_seq, "pretrain.seq_len", "eval.chunk_len")
     corpus = _corpus_tokens(args.corpus)
     model = TinyTransformer.init(model_cfg, seed=cfg["seed"])
-    rows = train.pretrain(model, corpus, **section(cfg, "pretrain"))
+    rows = train.pretrain(model, corpus, section(cfg, "pretrain", train.PretrainPlan))
     ppl = perplexity(model, corpus, cfg["eval.chunk_len"])
     _save(files, model, ["step", "loss"], [(r.step, r.loss) for r in rows], cfg)
     print(f"final_train_ppl\t{ppl!r}")
@@ -163,7 +163,7 @@ def cmd_quantize(args, cfg: dict) -> int:
     plan = section(cfg, "calib", CalibPlan)
     model = model_io.load_model(args.input)
     _check_lengths(cfg, model.config.max_seq, "calib.seq_len")
-    calib = _calib_set(cfg, _corpus_tokens(args.corpus))
+    calib = _calib_set(plan, _corpus_tokens(args.corpus))
     qmodel, rows = quantize_model(model, calib, plan, spec, rank=cfg["quant.rank"])
     _save(files, qmodel, ["layer", "epoch", "loss"],
           [(r.unit, r.epoch, r.loss) for r in rows], cfg)
@@ -180,8 +180,8 @@ def cmd_finetune(args, cfg: dict) -> int:
     def on_epoch(epoch: int, ppl: float):
         print(f"epoch\t{epoch}\tppl\t{ppl!r}")
 
-    rows = train.finetune(model, corpus, corpus, **section(cfg, "finetune"),
-                          chunk_len=cfg["eval.chunk_len"], on_epoch=on_epoch)
+    plan = section(cfg, "finetune", train.FinetunePlan)
+    rows = train.finetune(model, corpus, corpus, plan, cfg["eval.chunk_len"], on_epoch)
     _save(files, model, ["epoch", "step", "loss", "ppl"],
           [(r.epoch, r.step, r.loss, "" if r.ppl is None else r.ppl) for r in rows], cfg)
     return EXIT_OK
@@ -206,7 +206,8 @@ def cmd_eval(args, cfg: dict) -> int:
         full = model_io.load_model(args.profile_against)
         _check_lengths(cfg, min(model.config.max_seq, full.config.max_seq),
                        "calib.seq_len")
-        act = activation_error_profile(full, model, _calib_set(cfg, corpus).tokens)
+        calib = _calib_set(section(cfg, "calib", CalibPlan), corpus)
+        act = activation_error_profile(full, model, calib.tokens)
         wer = weight_error_report(full, model)
         reports += [(path, ["layer", "block", rep.kind], report_rows(rep))
                     for path, rep in ((act_tsv, act), (weight_tsv, wer))]

@@ -21,69 +21,37 @@ from .errors import ConfigError, InputError, check
 from .evals import CHUNK_LEN
 from .model import ModelConfig
 from .quant import QuantSpec
-from .train import POSITIONS
+from .train import FinetunePlan, PretrainPlan
 
 
-# the model.*, quant.* and calib.* keys name the fields of the classes
-# `section` builds from them; a `seed` field is the shared `seed` key
-_CLASSES = (("model", ModelConfig), ("quant", QuantSpec), ("calib", CalibPlan))
-_OWNED = {f"{prefix}.{f.name}": f for prefix, cls in _CLASSES
-          for f in dataclasses.fields(cls) if f.name != "seed"}
+# each key but the three of `SCHEMA`'s last rows names a field of the class
+# `section` builds from its prefix; a `seed` field is the shared `seed` key
+_CLASSES = (("model", ModelConfig), ("quant", QuantSpec), ("calib", CalibPlan),
+            ("pretrain", PretrainPlan), ("finetune", FinetunePlan))
 
-# key -> (type, default)
-SCHEMA: dict[str, tuple[type, object]] = {
-    "seed": (int, 0),
-    **{key: (type(f.default), f.default) for key, f in _OWNED.items()},
-    "quant.rank": (int, 8),
-    "calib.samples": (int, 16),
-    "calib.seq_len": (int, 128),
-    "pretrain.steps": (int, 2000),
-    "pretrain.lr": (float, 0.001),
-    "pretrain.batch": (int, 8),
-    "pretrain.seq_len": (int, 128),
-    "pretrain.weight_decay": (float, 0.1),
-    "finetune.lr": (float, 0.001),
-    "finetune.epochs": (int, 3),
-    "finetune.batch": (int, 8),
-    "finetune.seq_len": (int, 128),
-    "finetune.lora_position": (str, "all"),
-    "finetune.weight_decay": (float, 0.1),
-    "finetune.schedule": (str, "static"),
-    "finetune.warmup": (float, 0.03),
-    "eval.chunk_len": (int, 128),
-}
-
-# key -> bound (the keyword arguments of `check`): an owned key's is its
-# field's. A count or length below its bound fails deep in numpy, a
-# negative seed, count, rate or decay runs to no purpose, and the warmup
-# is a fraction of the finetune steps, so a value out of bounds is
-# rejected when the config loads
-_BOUNDS = {
-    **{key: f.metadata for key, f in _OWNED.items()},
-    **dict.fromkeys(("seed", "quant.rank", "pretrain.steps", "pretrain.lr",
-                     "pretrain.weight_decay", "finetune.epochs", "finetune.lr",
-                     "finetune.weight_decay"), {"lo": 0}),
-    **dict.fromkeys(("calib.samples", "calib.seq_len", "pretrain.batch",
-                     "pretrain.seq_len", "finetune.batch", "finetune.seq_len"),
-                    {"lo": 1}),
-    "finetune.lora_position": {"choices": POSITIONS},
-    "finetune.schedule": {"choices": ("static", "cosine")},
-    "finetune.warmup": {"lo": 0, "hi": 1},
-    "eval.chunk_len": CHUNK_LEN,
+# key -> (type, default, bound), a bound being the keyword arguments of
+# `check`: an owned key's are its field's, so a value the class would
+# reject is rejected when the config loads
+SCHEMA: dict[str, tuple[type, object, dict]] = {
+    **{f"{prefix}.{f.name}": (type(f.default), f.default, f.metadata)
+       for prefix, cls in _CLASSES for f in dataclasses.fields(cls) if f.name != "seed"},
+    "seed": (int, 0, {"lo": 0}),
+    "quant.rank": (int, 8, {"lo": 0}),
+    "eval.chunk_len": (int, 128, CHUNK_LEN),
 }
 
 
 def default_config() -> dict:
-    return {k: v for k, (_, v) in SCHEMA.items()}
+    return {k: v for k, (_, v, _) in SCHEMA.items()}
 
 
 def _convert(key: str, raw: str):
-    typ, _ = SCHEMA[key]
+    typ, _, bound = SCHEMA[key]
     try:
         value = typ(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    check(key, value, **_BOUNDS.get(key, {}))
+    check(key, value, **bound)
     return value
 
 
@@ -124,15 +92,11 @@ def load_config(path: str | None, overrides: dict[str, str] | None = None) -> di
     return cfg
 
 
-def section(cfg: dict, prefix: str, cls=None):
-    """The `<prefix>.*` keys of `cfg` named without their prefix, with the
-    unprefixed keys (`seed`) every section shares: keyword arguments, or
-    with `cls` the instance built from those of its fields."""
-    kwargs = {key.rpartition(".")[2]: value for key, value in cfg.items()
-              if key.startswith(f"{prefix}.") or "." not in key}
-    if cls is None:
-        return kwargs
-    return cls(**{f.name: kwargs[f.name] for f in dataclasses.fields(cls)})
+def section(cfg: dict, prefix: str, cls):
+    """The `cls` built from the `<prefix>.*` keys of `cfg`, each the field
+    named without its prefix; a `seed` field takes the shared `seed` key."""
+    return cls(**{f.name: cfg["seed" if f.name == "seed" else f"{prefix}.{f.name}"]
+                  for f in dataclasses.fields(cls)})
 
 
 def canonical_config(cfg: dict) -> str:

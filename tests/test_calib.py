@@ -192,8 +192,8 @@ class TestApiqLwLayer:
         x = np.array([[[1.0]]], dtype=np.float32)
         plan = CalibPlan(method="apiq-lw", epochs=1500, batch=1, seed=0,
                          weight_decay=0.0, lr_lora=0.01)
-        y, yq, rows = apiq_lw_layer(lay, x, x, plan, spec, rank=1,
-                                    stream=RngState(1))
+        y = x @ lay.weight
+        yq, rows = apiq_lw_layer(lay, y, x, plan, spec, rank=1, stream=RngState(1))
         assert min(r.loss for r in rows) < 1e-6
         assert float(((y - yq) ** 2).mean()) < 1e-6
 
@@ -202,8 +202,8 @@ class TestApiqLwLayer:
         lay = _linear("blocks.0.attn.q", np.zeros((4, 3)))
         x = RngState(2).randn((2, 5, 4)).astype(np.float32)
         plan = CalibPlan(method="apiq-lw", epochs=3, batch=2, seed=0)
-        y, yq, rows = apiq_lw_layer(lay, x, x, plan, spec, rank=2,
-                                    stream=RngState(3))
+        yq, rows = apiq_lw_layer(lay, x @ lay.weight, x, plan, spec, rank=2,
+                                 stream=RngState(3))
         assert rows[0].loss == 0.0
         assert np.all(yq == 0.0)
         assert np.array_equal(lay.effective_weight(), np.zeros((4, 3), np.float32))
@@ -215,8 +215,8 @@ class TestApiqLwLayer:
         lay = _linear("blocks.0.attn.q", w)
         x = RngState(100 + seed).randn((8, 4, 16)).astype(np.float32)
         plan = CalibPlan(method="apiq-lw", epochs=20, batch=4, seed=seed)
-        _, _, rows = apiq_lw_layer(lay, x, x, plan, spec, rank=4,
-                                   stream=RngState(200 + seed))
+        _, rows = apiq_lw_layer(lay, x @ w, x, plan, spec, rank=4,
+                                stream=RngState(200 + seed))
         retained = min(r.loss for r in rows)
         assert retained <= rows[0].loss
 
@@ -228,7 +228,7 @@ class TestApiqLwLayer:
         plan = CalibPlan(method="apiq-lw", epochs=3, batch=1, seed=0,
                          lr_lora=1e30, lr_theta=1e30)
         with pytest.raises(NumericError) as exc:
-            apiq_lw_layer(lay, x, x, plan, spec, rank=2, stream=RngState(3))
+            apiq_lw_layer(lay, x @ lay.weight, x, plan, spec, rank=2, stream=RngState(3))
         msg = str(exc.value)
         assert "blocks.0.attn.q" in msg and "epoch" in msg and "batch" in msg
 
@@ -238,8 +238,8 @@ class TestApiqLwLayer:
         lay = _linear("blocks.0.attn.q", w)
         xq = RngState(22).randn((3, 4, 8)).astype(np.float32)
         plan = CalibPlan(method="apiq-lw", epochs=4, batch=2, seed=1)
-        _, yq, _ = apiq_lw_layer(lay, xq.copy(), xq, plan, spec, rank=2,
-                                 stream=RngState(23))
+        yq, _ = apiq_lw_layer(lay, xq @ w, xq, plan, spec, rank=2,
+                              stream=RngState(23))
         assert yq.tobytes() == (xq @ lay.effective_weight()).tobytes()
 
 
@@ -280,8 +280,9 @@ class TestApiqBwBlock:
 
             def hook(layer, xv):
                 plan = CalibPlan(method="apiq-lw", **plan_kwargs)
-                _, yq, _ = apiq_lw_layer(layer, xv.value, xv.value, plan, spec,
-                                         rank=8, stream=RngState(seed).derive(counter[0]))
+                yq, _ = apiq_lw_layer(layer, xv.value @ layer.weight, xv.value, plan,
+                                      spec, rank=8,
+                                      stream=RngState(seed).derive(counter[0]))
                 counter[0] += 1
                 return ad.Var(yq)
 
@@ -359,8 +360,9 @@ class TestRetainedLoss:
         x = RngState(80 + seed).randn((n_samples, 4, 32)).astype(np.float32)
         x_q = x + (RngState(90 + seed).randn(x.shape) * 0.05).astype(np.float32)
         plan = CalibPlan(method="apiq-lw", epochs=6, batch=2, seed=seed)
-        y_full, y_q, rows = apiq_lw_layer(_linear("blocks.0.mlp.down", w), x, x_q,
-                                          plan, spec, rank=rank, stream=RngState(seed))
+        y_full = x @ w
+        y_q, rows = apiq_lw_layer(_linear("blocks.0.mlp.down", w), y_full, x_q,
+                                  plan, spec, rank=rank, stream=RngState(seed))
         assert min(r.loss for r in rows) == self._frozen_loss(y_q, y_full)
 
     def _check_bw(self, rank, n_samples):
@@ -429,12 +431,12 @@ class TestQuantizeModel:
         assert np.isfinite(qm.forward(calib.tokens[:2]).value).all()
 
     def test_lw_beats_rtn_end_to_end_logit_mse(self, corpus_tokens):
-        from apiq.train import pretrain
+        from apiq.train import PretrainPlan, pretrain
         cfg = ModelConfig(vocab=256, d_model=32, n_heads=4, d_ff=64, n_blocks=1,
                           max_seq=64)
         model = TinyTransformer.init(cfg, seed=2)
-        pretrain(model, corpus_tokens, steps=60, lr=1e-3, batch=8, seq_len=64,
-                 weight_decay=0.1, seed=2)
+        pretrain(model, corpus_tokens, PretrainPlan(steps=60, lr=1e-3, batch=8,
+                                                    seq_len=64, weight_decay=0.1, seed=2))
         calib = sample_calib(corpus_tokens, 8, 64, seed=3)
         spec = QuantSpec(bits=8, group=16)
         full = model.forward(calib.tokens).value

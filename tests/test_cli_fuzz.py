@@ -10,24 +10,36 @@ names with the same bytes. A command that succeeds must begin every TSV it
 writes with the resolved config line.
 
 A second fuzz draws where the outputs go: `--out` or `--report-prefix` in
-a missing directory, or an existing directory in place of the checkpoint
-or of a TSV derived from `--out`, `--report-prefix` or `--in`. A command
-that would write such a file must exit 2 and leave its directory as it
-was; any other must succeed. Its inputs are few enough (330 distinct
-examples) that hypothesis runs out of new ones before `max_examples`.
+a missing directory, or an existing directory in place of the checkpoint,
+of a TSV derived from `--out`, `--report-prefix` or `--in`, or of the
+temp file either is written to first. A command that would write such a
+file must exit 2 and leave its directory as it was; any other must
+succeed. Its inputs are few enough (630 distinct examples) that
+hypothesis runs out of new ones before `max_examples`.
+
+A third fuzz draws config lines for every key: junk, a non-finite
+number, a value of the wrong type, a value just past the key's bound or
+at it, each line possibly repeated. On top of a config that runs, the
+command must return 0, 2, 3 or 4; a command that fails leaves its
+directory as it found it, and one that succeeds writes the resolved
+config as the first line of every TSV and checkpoints that load. In-range
+values come only from the bounds themselves, so no example runs long.
 """
 
 import contextlib
 import io
+import math
 import shutil
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from apiq import model_io
 from apiq.calib import METHODS
+from apiq.checkpoint import temp_path
 from apiq.cli import main
-from apiq.runconfig import default_corpus_path
+from apiq.runconfig import SCHEMA, canonical_config, default_corpus_path, load_config
 
 MAX_SEQ = 32
 # finetune.batch covers every window of a 3000-byte corpus in 3 steps
@@ -134,16 +146,19 @@ def test_command_exit_code_and_files(inputs, tmp_path_factory, argv, corpus,
 # the log each command writes beside --out, as "<out>.<log>.tsv"
 LOGS = {"pretrain": "train", "quantize": "calib", "finetune": "finetune"}
 REPORTS = ("act", "weight", "hist")
-# every file a command may write, by the name it has in `commands`
-OUTPUTS = (["out.ckpt"] + [f"out.ckpt.{log}.tsv" for log in LOGS.values()]
-           + [f"{prefix}.{kind}.tsv" for prefix in ("r", "q.ckpt") for kind in REPORTS])
+# every file a command may write, by the name it has in `commands`, and
+# the temp file it is written to first
+OUTPUTS = [name for out in (["out.ckpt"] + [f"out.ckpt.{log}.tsv" for log in LOGS.values()]
+                            + [f"{prefix}.{kind}.tsv" for prefix in ("r", "q.ckpt")
+                               for kind in REPORTS])
+           for name in (out, temp_path(out))]
 # a valid run: one pretrain step and one calibration epoch on 4 samples
 PATHS_CONFIG = MODEL_CONFIG + "".join(f"{k} = {MAX_SEQ}\n" for k in LENGTH_KEYS) + """
 calib.samples = 4
 calib.epochs = 1
 pretrain.steps = 1
 """
-PATHS_FUZZ = settings(max_examples=500, deadline=None, derandomize=True,
+PATHS_FUZZ = settings(max_examples=800, deadline=None, derandomize=True,
                       suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -180,8 +195,73 @@ def test_unwritable_output_exit_2_and_no_change(inputs, tmp_path_factory, argv,
     if obstacle is not None:
         (root / obstacle).mkdir()
     writes = _writes(argv)
-    blocked = (missing and writes) or obstacle in writes
+    blocked = (missing and writes) or obstacle in writes + [temp_path(w) for w in writes]
     before = _listing(root)
     assert _run(root, argv) == (2 if blocked else 0)
     if blocked:
         assert _listing(root) == before
+
+
+def _past_and_at(typ: type, bound) -> tuple[list[str], list[str]]:
+    """(values just past, values at) the edges of `bound`, at a strict
+    bound the least float above it; none past, and two that are taken, for
+    a key with no bound."""
+    def step(value, direction):
+        return value + direction if typ is int else math.nextafter(value, direction * math.inf)
+
+    pairs = []
+    if "lo" in bound:
+        pairs.append((step(bound["lo"], -1), bound["lo"]))
+    if "hi" in bound:
+        pairs.append((step(bound["hi"], 1), bound["hi"]))
+    if "above" in bound:
+        pairs.append((bound["above"], step(bound["above"], 1)))
+    for choice in bound.get("choices", ()):
+        pairs.append(("nonesuch" if typ is str else max(bound["choices"]) + 1, choice))
+    past, at = zip(*pairs) if pairs else ((), (0.0, 30.0))
+    return [str(typ(v)) for v in past], [str(typ(v)) for v in at]
+
+
+def _values(key: str):
+    """Raw values for `key`, half of them at a bound and half rejected:
+    junk (no digit, nor a letter of "nan" or "inf"), non-finite, of the
+    wrong type, or just past a bound."""
+    typ, _, bound = SCHEMA[key]
+    past, at = _past_and_at(typ, bound)
+    return st.one_of(st.sampled_from(at), st.one_of(
+        st.text(alphabet=" xyz!@#=.-_é", max_size=6),
+        st.sampled_from(["nan", "inf", "-inf", "1e999"]),
+        st.just({int: "1.5", float: "0x1", str: "1"}[typ]),
+        *[st.sampled_from(past)] * bool(past)))
+
+
+config_lines = st.sampled_from(sorted(SCHEMA)).flatmap(
+    lambda key: _values(key).map(lambda raw: f"{key} = {raw}"))
+
+
+@FUZZ
+@given(argv=commands, lines=st.lists(config_lines, min_size=1, max_size=3),
+       repeat=st.booleans())
+def test_config_lines_exit_code_and_files(inputs, tmp_path_factory, argv, lines,
+                                          repeat):
+    root = tmp_path_factory.mktemp("config")
+    for name in ("base.ckpt", "q.ckpt", "corpus.txt"):
+        shutil.copyfile(inputs / name, root / name)
+    lines += lines[:1] * repeat
+    (root / "run.cfg").write_text(PATHS_CONFIG + "".join(f"{line}\n" for line in lines))
+    before = _listing(root)
+    code = _run(root, argv)
+    assert code in (0, 2, 3, 4)
+    after = _listing(root)
+    if code != 0:
+        assert after == before
+        return
+    flags = {"calib.method": argv[argv.index("--method") + 1]} if "--method" in argv else {}
+    config = f"config\t{canonical_config(load_config(str(root / 'run.cfg'), flags))}\n"
+    for name, data in after.items():
+        if before.get(name) == data:
+            continue
+        if name.endswith(".tsv"):
+            assert data.startswith(config.encode()), name
+        else:
+            model_io.load_model(str(root / name))

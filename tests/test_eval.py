@@ -99,15 +99,15 @@ class TestPerplexity:
         assert perplexity(m, tokens, 64) >= 1.0
 
     def test_memorizes_repeated_corpus(self):
-        from apiq.train import pretrain
+        from apiq.train import PretrainPlan, pretrain
         cfg = ModelConfig(vocab=256, d_model=32, n_heads=4, d_ff=48, n_blocks=1,
                           max_seq=32)
         m = TinyTransformer.init(cfg, seed=7)
         pattern = np.frombuffer(b"the quick brown fox jumps over! ", dtype=np.uint8)
         assert len(pattern) == 32
         corpus = np.tile(pattern, 96).astype(np.int64)
-        pretrain(m, corpus, steps=250, lr=2e-3, batch=8, seq_len=32,
-                 weight_decay=0.0, seed=7)
+        pretrain(m, corpus, PretrainPlan(steps=250, lr=2e-3, batch=8, seq_len=32,
+                                         weight_decay=0.0, seed=7))
         assert perplexity(m, corpus, 32) < 2.0
 
 

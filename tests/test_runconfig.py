@@ -1,21 +1,20 @@
 import dataclasses
-import inspect
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apiq import train
 from apiq.calib import CalibPlan
 from apiq.errors import ConfigError, InputError
-from apiq.model import ModelConfig
-from apiq.quant import QuantSpec
-from apiq.runconfig import (SCHEMA, canonical_config, default_config, load_config,
-                            load_corpus, parse_config, section)
+from apiq.runconfig import (_CLASSES, SCHEMA, canonical_config, default_config,
+                            load_config, load_corpus, parse_config, section)
+from apiq.train import FinetunePlan, PretrainPlan
 
-NUMERIC_KEYS = [k for k, (typ, _) in SCHEMA.items() if typ in (int, float)]
-FLOAT_KEYS = [k for k, (typ, _) in SCHEMA.items() if typ is float]
+NUMERIC_KEYS = [k for k, (typ, *_) in SCHEMA.items() if typ in (int, float)]
+FLOAT_KEYS = [k for k, (typ, *_) in SCHEMA.items() if typ is float]
+# the keys no one class owns
+UNOWNED = ("seed", "quant.rank", "eval.chunk_len")
 
 
 def test_defaults_complete():
@@ -85,16 +84,20 @@ def test_default_canonical_config_is_pinned():
 
 def test_sections_build_their_consumers():
     cfg = default_config()
-    assert section(cfg, "model", ModelConfig) == ModelConfig()
-    assert section(cfg, "quant", QuantSpec) == QuantSpec()
-    assert section(cfg, "calib", CalibPlan) == CalibPlan()
-    cfg.update({"seed": 7, "calib.batch": 2, "finetune.lora_position": "ffn"})
-    assert section(cfg, "calib", CalibPlan) == CalibPlan(batch=2, seed=7)
-    # every key of a train section is an argument of its function
-    inspect.signature(train.pretrain).bind(None, None, **section(cfg, "pretrain"))
-    kwargs = section(cfg, "finetune")
-    assert kwargs["lora_position"] == "ffn" and kwargs["seed"] == 7
-    inspect.signature(train.finetune).bind(None, None, None, chunk_len=2, **kwargs)
+    for prefix, cls in _CLASSES:
+        assert section(cfg, prefix, cls) == cls()
+    cfg.update({"seed": 7, "calib.batch": 2, "calib.samples": 3,
+                "pretrain.steps": 5, "finetune.lora_position": "ffn"})
+    assert section(cfg, "calib", CalibPlan) == CalibPlan(batch=2, samples=3, seed=7)
+    assert section(cfg, "pretrain", PretrainPlan) == PretrainPlan(steps=5, seed=7)
+    assert (section(cfg, "finetune", FinetunePlan)
+            == FinetunePlan(lora_position="ffn", seed=7))
+
+
+def test_every_key_but_three_is_one_class_field():
+    owned = [f"{prefix}.{f.name}" for prefix, cls in _CLASSES
+             for f in dataclasses.fields(cls) if f.name != "seed"]
+    assert sorted(owned + list(UNOWNED)) == sorted(SCHEMA)
 
 
 @pytest.mark.parametrize("key", FLOAT_KEYS)
@@ -115,10 +118,10 @@ def test_numeric_key_returns_or_raises_config_error(key, raw):
         assert cfg[key] == SCHEMA[key][0](raw)
 
 
-# each bound a class field declares, at its edge: (key, the value just
-# past the bound, the bound itself, or for a strict bound the least float
-# above it)
-OWNED_EDGES = [
+# each declared bound, a class field's or one of the three unowned keys,
+# at its edge: (key, the value just past the bound, the bound itself, or
+# for a strict bound the least float above it); a range has two rows
+BOUND_EDGES = [
     *((f"model.{name}", "0", "1")
       for name in ("vocab", "d_model", "n_heads", "d_ff", "n_blocks", "max_seq")),
     ("model.rope_theta", "0", "5e-324"),
@@ -132,22 +135,44 @@ OWNED_EDGES = [
     ("calib.lr_lora", "0", "5e-324"),
     ("calib.weight_decay", "-5e-324", "0"),
     ("calib.loftq_iters", "-1", "0"),
+    ("calib.samples", "0", "1"),
+    ("calib.seq_len", "0", "1"),
+    ("pretrain.steps", "-1", "0"),
+    ("pretrain.lr", "-5e-324", "0"),
+    ("pretrain.batch", "0", "1"),
+    ("pretrain.seq_len", "0", "1"),
+    ("pretrain.weight_decay", "-5e-324", "0"),
+    ("finetune.epochs", "-1", "0"),
+    ("finetune.lr", "-5e-324", "0"),
+    ("finetune.batch", "0", "1"),
+    ("finetune.seq_len", "0", "1"),
+    ("finetune.lora_position", "mlp", "ffn"),
+    ("finetune.weight_decay", "-5e-324", "0"),
+    ("finetune.schedule", "linear", "cosine"),
+    ("finetune.warmup", "-5e-324", "0"),
+    ("finetune.warmup", "1.0000000000000002", "1"),
+    ("seed", "-1", "0"),
+    ("quant.rank", "-1", "0"),
+    ("eval.chunk_len", "1", "2"),
 ]
 
 
 def test_every_declared_bound_has_an_edge_case():
-    declared = {f"{prefix}.{f.name}"
-                for prefix, cls in (("model", ModelConfig), ("quant", QuantSpec),
-                                    ("calib", CalibPlan))
+    declared = {f"{prefix}.{f.name}" for prefix, cls in _CLASSES
                 for f in dataclasses.fields(cls) if f.metadata}
-    assert declared == {key for key, _, _ in OWNED_EDGES}
+    assert declared | set(UNOWNED) == {key for key, _, _ in BOUND_EDGES}
 
 
-@pytest.mark.parametrize("key,past,edge", OWNED_EDGES)
+@pytest.mark.parametrize("key,past,edge", BOUND_EDGES)
 def test_owned_bound_rejected_at_its_edge(key, past, edge):
     with pytest.raises(ConfigError, match=f"^{key} must be .*, got "):
         parse_config(f"{key} = {past}")
     assert parse_config(f"{key} = {edge}")[key] == SCHEMA[key][0](edge)
+    if key not in UNOWNED:
+        # the class that owns the key checks the same bound when it is built
+        prefix, _, name = key.partition(".")
+        with pytest.raises(ConfigError, match=f"^{name} must be .*, got "):
+            dict(_CLASSES)[prefix](**{name: SCHEMA[key][0](past)})
 
 
 @settings(max_examples=300, deadline=None)
