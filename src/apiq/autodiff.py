@@ -18,6 +18,10 @@ ATTN_BLOCK_MAX_T positions it runs per block of query rows, taped or not,
 with the bits of the one-block computation: masked blocks cost nothing,
 and the backward keeps only each block's probabilities.
 
+`gram_mse` is the mean squared error of X @ W against Y taken from the
+second moments X^T X and X^T Y, with no product over the rows of X.
+`quant.ste_fake_quant` records its own single entry through `_record`.
+
 A taped op keeps its inputs and output and little more: attention its
 probabilities, `cross_entropy` its shifted exponentials and their row
 sums; rotated q and k and the sigmoid of `silu` are recomputed. One
@@ -557,10 +561,16 @@ def clamp(a, lo, hi) -> Var:
     return _record("clamp", out, (a,), back)
 
 
+def rint(x: np.ndarray) -> np.ndarray:
+    """Round half-to-even, or the identity under `surrogate_round`: the
+    forward of `round_ste` and of every straight-through round."""
+    return x if _surrogate_round else np.rint(x)
+
+
 def round_ste(a) -> Var:
     """Round half-to-even; backward is the identity (straight-through)."""
     a = _wrap(a)
-    out = Var(a.value if _surrogate_round else np.rint(a.value))
+    out = Var(rint(a.value))
 
     def back():
         if a.requires_grad:
@@ -626,6 +636,27 @@ def mse(a, b) -> Var:
             b.accum(-g)
 
     return _record("mse", out, (a, b), back)
+
+
+def gram_mse(w, gram: np.ndarray, cross: np.ndarray, yy: float, n: int) -> Var:
+    """mse(X @ W, Y) over its n = N * d2 elements from the second moments
+    gram = X^T X (d1, d1), cross = X^T Y (d1, d2) and yy = |Y|^2, all f64:
+    (sum(W * (gram @ W)) - 2 sum(W * cross) + yy) / n, taken in f64 and given
+    in W's dtype, as `mse` gives its own. Backward is 2 (gram @ W - cross) / n,
+    cast to W's dtype. Forward and backward cost d1 * d1 * d2 multiply-adds,
+    where those of mse(X @ W, Y) cost 2 N d1 d2."""
+    w = _wrap(w)
+    w64 = w.value.astype(np.float64)
+    gw = gram @ w64
+    loss = (np.vdot(w64, gw) - 2.0 * np.vdot(w64, cross) + yy) / n
+    out = Var(np.asarray(loss, dtype=w.value.dtype))
+
+    def back():
+        g = np.subtract(gw, cross, out=gw)
+        g *= 2.0 * float(out.grad) / n
+        w.accum(g.astype(w.value.dtype))
+
+    return _record("gram_mse", out, (w,), back)
 
 
 def _softmax_nll(logits: np.ndarray, targets: np.ndarray, overwrite: bool = False):

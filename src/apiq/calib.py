@@ -11,13 +11,17 @@ over the adapter factors and the clipping logits, where X is the
 full-precision input to the layer, X^q the input propagated through the
 already-quantized prefix of the network, and Q the fake-quantized weight
 (straight-through rounding, scale and zero-point recomputed from the
-current clipping logits on every batch). The block-wise variant optimizes
-all seven projections of a transformer block jointly against the
-full-precision block output. Both variants run one shared AdamW loop
-(`_calibrate`) that tracks the epoch-end loss on the whole calibration set
-(forwarded batch by batch, with the weights of that epoch's end) and keeps
-the best-seen parameter state, so the retained loss never exceeds the
-value at initialization. A non-finite batch or epoch-end loss is an error.
+current clipping logits on every batch). A layer-wise step takes this
+loss and its gradient in W_eff = Q + A B^T from the batch's second
+moments X^q^T X^q and X^q^T X W (`ad.gram_mse`), with no forward over the
+batch. The block-wise variant optimizes all seven projections of a
+transformer block jointly against the full-precision block output. Both
+variants run one shared AdamW loop (`_calibrate`) that tracks the
+epoch-end loss on the whole calibration set (taken directly, with the
+weights of that epoch's end) and keeps the best-seen parameter state, so
+the retained loss never exceeds the value at initialization. A
+non-finite epoch-end loss, or a step whose loss or gradients are not
+finite, is an error.
 
 Adapters start from the standard low-rank-adapter default (A uniform in
 +-1/sqrt(d1), B = 0) so the initial loss equals the pure-quantization
@@ -37,7 +41,7 @@ from . import autodiff as ad
 from .errors import ConfigError, InputError, NumericError, check_fields
 from .linalg import group_minmax, truncated_svd
 from .model import (Block, Linear, LoraPair, ModelConfig, QuantState,
-                    TinyTransformer, forward_block, linear_apply)
+                    TinyTransformer, forward_block, linear_apply, w_eff)
 from .quant import (ClipParams, QuantSpec, clip_to_params, dequantize,
                     pack, quantize, ste_fake_quant)
 from .rng import RngState
@@ -203,19 +207,41 @@ class _TrainableQuant:
         _freeze(self.layer, codes, params, clip, spec, self.layer.lora)
 
 
-def _calibrate(states: list[_TrainableQuant], forward, x_q: np.ndarray,
-               y_full: np.ndarray, plan: CalibPlan, spec: QuantSpec,
-               unit: str) -> list[CalibLogRow]:
-    """Minimize MSE(forward(X^q) - Y) over the states' clip logits and
+def _batches(n: int, size: int) -> list[slice]:
+    return [slice(lo, lo + size) for lo in range(0, n, size)]
+
+
+def _set_loss(forward, x_q: np.ndarray, y_full: np.ndarray, batches: list[slice]):
+    """The loss on the whole set, mean((forward(X^q, bound) - Y)^2) in f64
+    as a function of `bound`: each batch's difference is taken in f64 into
+    one buffer and squared in place, the values of a whole-set forward
+    without its whole-set temporaries."""
+    diff = np.empty(y_full.shape, dtype=np.float64)
+
+    def loss(bound) -> float:
+        for b in batches:
+            d = np.subtract(forward(x_q[b], bound).value, y_full[b], out=diff[b],
+                            dtype=np.float64)
+            np.multiply(d, d, out=d)
+        return float(diff.mean())
+
+    return loss
+
+
+def _calibrate(states: list[_TrainableQuant], step_loss, set_loss, n_batches: int,
+               plan: CalibPlan, spec: QuantSpec, unit: str) -> list[CalibLogRow]:
+    """Minimize the unit's output MSE over the states' clip logits and
     adapters with AdamW; the loop both calibration variants share.
 
-    `forward(x, trainable)` maps a batch to the unit's output; `trainable`
+    `step_loss(i, trainable)` is batch i's loss on the tape and
+    `set_loss(trainable)` the loss on the whole set as a float; `trainable`
     binds each state's clip logits, adapter factors and, to its fake-quant
-    expression, its weight (see `model.w_eff`). The loss on the set is taken
-    after every epoch, one batch at a time into one f64 buffer; the best
-    state seen (strictly lower loss) is restored and every state frozen. A
-    non-finite loss raises NumericError naming the unit and epoch (and
-    batch). Returns the per-epoch log.
+    expression, its weight (see `model.w_eff`). The set loss is taken
+    after every epoch; the best state seen (strictly lower loss) is
+    restored and every state frozen. A non-finite set loss, or a step
+    whose loss or gradients are non-finite, raises NumericError naming the
+    unit and epoch (and batch), before numpy warns. Returns the per-epoch
+    log.
     """
     adapters = [st.layer.lora for st in states if st.layer.lora is not None]
     lora = [p for pair in adapters for p in (pair.a, pair.b)]
@@ -224,8 +250,6 @@ def _calibrate(states: list[_TrainableQuant], forward, x_q: np.ndarray,
               for ps, lr in ((lora, plan.lr_lora), (theta, plan.lr_theta)) if ps]
     opt = AdamW(groups)
     params = lora + theta
-    batches = [slice(lo, lo + plan.batch) for lo in range(0, len(x_q), plan.batch)]
-    diff = np.empty(y_full.shape, dtype=np.float64)
 
     def bind(leaf) -> dict[int, ad.Var]:
         bound = {id(p): leaf(p) for p in params}
@@ -236,14 +260,7 @@ def _calibrate(states: list[_TrainableQuant], forward, x_q: np.ndarray,
         return bound
 
     def full_loss(epoch: int) -> float:
-        # per batch into one f64 buffer, squared in place: the values are
-        # those of a whole-set forward, without its whole-set temporaries
-        bound = bind(ad.Var)
-        for b in batches:
-            diff[b] = forward(x_q[b], bound).value
-        np.subtract(diff, y_full, out=diff)
-        np.multiply(diff, diff, out=diff)
-        loss = float(diff.mean())
+        loss = set_loss(bind(ad.Var))
         if not math.isfinite(loss):
             raise NumericError(f"non-finite loss at {unit}, epoch {epoch}")
         return loss
@@ -251,14 +268,20 @@ def _calibrate(states: list[_TrainableQuant], forward, x_q: np.ndarray,
     best, best_state = full_loss(0), [p.copy() for p in params]
     rows = [CalibLogRow(unit=unit, epoch=0, loss=best)]
     for epoch in range(1, plan.epochs + 1):
-        for bi, b in enumerate(batches):
-            with ad.Tape() as tape:
-                bound = bind(ad.param)
-                loss = ad.mse(forward(x_q[b], bound), y_full[b])
-            if not np.isfinite(loss.value):
-                raise NumericError(f"non-finite loss at {unit}, epoch {epoch}, batch {bi}")
-            ad.backward(tape, loss)
-            opt.step([[bound[id(p)].grad for p in ps] for ps, _, _ in groups])
+        for i in range(n_batches):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with ad.Tape() as tape:
+                    bound = bind(ad.param)
+                    loss = step_loss(i, bound)
+                finite = np.isfinite(loss.value)
+                if finite:
+                    ad.backward(tape, loss)
+                    grads = [[bound[id(p)].grad for p in ps] for ps, _, _ in groups]
+                    finite = all(np.isfinite(g).all() for gs in grads for g in gs)
+            if not finite:
+                raise NumericError(f"non-finite loss or gradient at {unit}, "
+                                   f"epoch {epoch}, batch {i}")
+            opt.step(grads)
         end = full_loss(epoch)
         rows.append(CalibLogRow(unit=unit, epoch=epoch, loss=end))
         if end < best:
@@ -271,18 +294,34 @@ def _calibrate(states: list[_TrainableQuant], forward, x_q: np.ndarray,
     return rows
 
 
+def _second_moments(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """(X^T X, X^T Y, |Y|^2, Y.size) in f64 of one batch of layer inputs X
+    and targets Y, the arguments of `ad.gram_mse` after W."""
+    x = x.reshape(-1, x.shape[-1]).astype(np.float64)
+    y = y.reshape(-1, y.shape[-1]).astype(np.float64)
+    return x.T @ x, x.T @ y, float(np.vdot(y, y)), y.size
+
+
 def apiq_lw_layer(layer: Linear, y_full: np.ndarray, x_q: np.ndarray,
                   plan: CalibPlan, spec: QuantSpec, rank: int,
                   stream: RngState) -> tuple[np.ndarray, list[CalibLogRow]]:
     """Calibrate one linear layer in place against its full-precision
     output Y = X W; returns (Y^q, log rows).
 
-    Y^q is X^q (Q + A B^T) with the retained parameters, i.e. exactly what
-    the frozen layer will produce at inference.
+    A step's loss mse(X^q_b W_eff, Y_b) comes from batch b's second moments
+    (`ad.gram_mse`), so it runs no forward over the batch; the epoch-end
+    loss is the direct one, X^q W_eff in one product. Y^q is X^q (Q + A B^T)
+    with the retained parameters, i.e. exactly what the frozen layer will
+    produce at inference.
     """
     state = _TrainableQuant.create(layer, spec, rank, stream, plan.clip_init)
-    rows = _calibrate([state], lambda x, bound: linear_apply(layer, ad.Var(x), bound),
-                      x_q, y_full, plan, spec, layer.name)
+    batches = _batches(len(x_q), plan.batch)
+    moments = [_second_moments(x_q[b], y_full[b]) for b in batches]
+    rows = _calibrate(
+        [state], lambda i, bound: ad.gram_mse(w_eff(layer, bound), *moments[i]),
+        _set_loss(lambda x, bound: linear_apply(layer, ad.Var(x), bound),
+                  x_q, y_full, [slice(None)]),
+        len(batches), plan, spec, layer.name)
     return x_q @ layer.effective_weight(), rows
 
 
@@ -295,9 +334,14 @@ def apiq_bw_block(block: Block, x_full: np.ndarray, x_q: np.ndarray,
     y_full = forward_block(block, ad.Var(x_full), cfg).value
     states = [_TrainableQuant.create(lay, spec, rank, stream.derive(j), plan.clip_init)
               for j, lay in enumerate(block.layers.values())]
-    rows = _calibrate(states, lambda x, bound: forward_block(block, ad.Var(x), cfg,
-                                                            trainable=bound),
-                      x_q, y_full, plan, spec, unit)
+    batches = _batches(len(x_q), plan.batch)
+
+    def forward(x, bound):
+        return forward_block(block, ad.Var(x), cfg, trainable=bound)
+
+    rows = _calibrate(
+        states, lambda i, bound: ad.mse(forward(x_q[batches[i]], bound), y_full[batches[i]]),
+        _set_loss(forward, x_q, y_full, batches), len(batches), plan, spec, unit)
     y_q = forward_block(block, ad.Var(x_q), cfg).value
     return y_full, y_q, rows
 

@@ -18,8 +18,8 @@ Layout (all integers little-endian):
     packed-codes are the LSB-first bitstream of `quant.pack`.
 
 Saving the result of a load reproduces the original file byte-for-byte.
-Saves are atomic: the bytes go to "<path>.tmp", which then replaces
-<path>.
+`write_tensors` writes a path directly; `save_tensors` is atomic: the
+bytes go to "<path>.tmp", which then replaces <path>.
 """
 
 from __future__ import annotations
@@ -64,23 +64,31 @@ def temp_path(path) -> str:
 
 @contextmanager
 def atomic_write(paths):
-    """Yield the `temp_path` of each of `paths` to be written, and rename
-    each over its path once the block ends. If the block raises, every
-    temp file is removed: a failed write leaves the old files (or none),
-    never a half-written one, nor a new one beside an old one."""
-    tmps = [temp_path(path) for path in paths]
+    """Create the `temp_path` of each of `paths`, failing if one exists,
+    yield them to be written, and rename each over its path once the block
+    ends. If anything raises, the temp files this call created are
+    removed: a failed write leaves the old files (or none), never a
+    half-written one, nor a new one beside an old one, and never touches
+    a file it did not create."""
+    created = []
     try:
-        yield tmps
-        for tmp, path in zip(tmps, paths):
+        for path in paths:
+            tmp = temp_path(path)
+            os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            created.append(tmp)
+        yield created
+        for tmp, path in zip(created, paths):
             os.replace(tmp, path)
     except BaseException:
-        for tmp in tmps:
+        for tmp in created:
             if os.path.exists(tmp):
                 os.remove(tmp)
         raise
 
 
-def save_tensors(path, entries: list[Entry]) -> None:
+def write_tensors(path, entries: list[Entry]) -> None:
+    """Write `entries` to `path` itself, such as a temp file `atomic_write`
+    yields."""
     metas = []
     dir_size = len(MAGIC) + 4 + 4
     for name, obj in entries:
@@ -95,7 +103,7 @@ def save_tensors(path, entries: list[Entry]) -> None:
         offsets.append(cursor)
         cursor = _align(cursor + len(payload))
 
-    with atomic_write([path]) as (tmp,), open(tmp, "wb") as fh:
+    with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(entries)))
         for (nbytes, code, aux, dims, payload), off in zip(metas, offsets):
@@ -110,6 +118,13 @@ def save_tensors(path, entries: list[Entry]) -> None:
             fh.write(b"\x00" * (off - pos))
             fh.write(payload)
             pos = off + len(payload)
+
+
+def save_tensors(path, entries: list[Entry]) -> None:
+    """`write_tensors` through `atomic_write`: a failed save leaves the old
+    file, or none."""
+    with atomic_write([path]) as (tmp,):
+        write_tensors(tmp, entries)
 
 
 class _Reader:

@@ -102,13 +102,14 @@ def _keep_freed_memory() -> None:
 
 def _check_out(flag: str, path: str, files) -> None:
     """Reject, before any work is done, each of the `files` a command will
-    write (named from `path`, the value of `flag`) that or whose temp path
-    is a directory, or whose directory does not exist."""
+    write (named from `path`, the value of `flag`) that is a directory,
+    whose temp path exists, or whose directory does not exist."""
     for out in files:
         parent = os.path.dirname(out) or "."
-        for name in (out, temp_path(out)):
-            if os.path.isdir(name):
-                raise ConfigError(f"{flag} {path}: {name} is a directory")
+        if os.path.isdir(out):
+            raise ConfigError(f"{flag} {path}: {out} is a directory")
+        if os.path.lexists(temp_path(out)):
+            raise ConfigError(f"{flag} {path}: {temp_path(out)} already exists")
         if not os.path.isdir(parent):
             raise ConfigError(f"{flag} {path}: directory {parent} does not exist")
 

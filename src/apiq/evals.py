@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Var, log_softmax_nll, matmul
-from .checkpoint import atomic_write
 from .errors import InputError, NumericError, check
 from .model import Linear, TinyTransformer, forward_block, linear_apply
 
@@ -165,10 +164,11 @@ def histogram_export(layer: Linear, bins: int,
 # ---------------------------------------------------------------------------
 
 def write_tsv(path, header: list[str], rows, config_line: str) -> None:
-    """Write `path` as UTF-8 tab-separated lines: the config line, the header
-    and the rows (floats by `repr`), atomically, so a failed write leaves
-    the old file or none."""
-    with atomic_write([path]) as (tmp,), open(tmp, "w", encoding="utf-8") as fh:
+    """Write `path` itself as UTF-8 tab-separated lines: the config line,
+    the header and the rows (floats by `repr`). A command writes the temp
+    path `checkpoint.atomic_write` yields, so a failed write leaves the old
+    file or none."""
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"config\t{config_line}\n")
         fh.write("\t".join(header) + "\n")
         for row in rows:

@@ -32,7 +32,7 @@ import itertools
 
 import numpy as np
 
-from .checkpoint import Entry, load_tensors, save_tensors
+from .checkpoint import Entry, load_tensors, write_tensors
 from .errors import ConfigError, FormatError
 from .model import Linear, LoraPair, ModelConfig, QuantState, TinyTransformer
 from .quant import (GRANULARITIES, SCALE_FLOOR, ClipParams, GroupParams, PackedCodes,
@@ -84,7 +84,9 @@ def _layer_entries(layer: Linear) -> list[Entry]:
 
 
 def save_model(model: TinyTransformer, path) -> None:
-    save_tensors(path, model_entries(model))
+    """Write `model` to `path` itself; a command writes the temp path
+    `checkpoint.atomic_write` yields."""
+    write_tensors(path, model_entries(model))
 
 
 def load_model(path) -> TinyTransformer:

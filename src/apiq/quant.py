@@ -10,12 +10,13 @@ rows per column. Per group,
 
 With `clip=None` the sigmoid factors are exactly 1 and the formulas reduce
 to plain round-to-nearest affine quantization. Rounding is half-to-even
-throughout. The (s, z), codes and Q lines are each one function of
-autodiff ops (`_scale_zero`, `_codes`, `_dequant`) that both paths call:
-`clip_to_params`, `quantize` and `dequantize` on constants, which no tape
-records, and `ste_fake_quant` on the tape, with sig(gamma), sig(beta) and
-straight-through rounds, so the clipping logits train through both s and
-z and the frozen codes are bitwise those the calibration loss saw.
+throughout. The (s, z), codes and Q lines are each one numpy function
+(`_scale_zero`, `_codes`, `_dequant`) that both paths call:
+`clip_to_params`, `quantize` and `dequantize`, and the forward of
+`ste_fake_quant`, one tape entry on sig(gamma) and sig(beta) whose
+backward has straight-through rounds, so the clipping logits train through
+both s and z and the frozen codes are bitwise those the calibration loss
+saw.
 
 Codes are stored LSB-first in a packed bitstream, each row padded to a
 byte boundary; this byte layout is a stable external format.
@@ -87,29 +88,30 @@ class PackedCodes:
         return (self.shape[1] * self.bits + 7) // 8
 
 
-def _scale_zero(cg, cb, mins, maxs, qmax: int) -> tuple[ad.Var, ad.Var]:
+def _scale_zero(cg, cb, mins, maxs, qmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-group scale s and zero-point z from the clip factors (cg, cb)
     and the group extrema."""
-    diff = ad.sub(ad.mul(cg, maxs), ad.mul(cb, mins))
-    s = ad.maximum(ad.div(diff, diff.value.dtype.type(qmax)), SCALE_FLOOR)
-    z = ad.clamp(ad.round_ste(ad.neg(ad.div(ad.mul(cb, mins), s))), 0.0, float(qmax))
+    lo = cb * mins
+    diff = cg * maxs - lo
+    s = np.maximum(diff / diff.dtype.type(qmax), SCALE_FLOOR)
+    z = ad.rint(-(lo / s)).clip(0.0, float(qmax))
     return s, z
 
 
-def _grouped(n_groups: int, *xs) -> list[ad.Var]:
+def _grouped(n_groups: int, *xs) -> list[np.ndarray]:
     """Each (d1, d2) matrix as (n_groups, d1 / n_groups, d2), and each
     per-group (n_groups, d2) array as (n_groups, 1, d2), broadcast to it."""
-    return [ad.reshape(x, (n_groups, -1, x.shape[-1])) for x in xs]
+    return [x.reshape(n_groups, -1, x.shape[-1]) for x in xs]
 
 
-def _codes(w3, s3, z3, qmax: int) -> ad.Var:
+def _codes(w3, s3, z3, qmax: int) -> np.ndarray:
     """Grouped codes clamp(round(W / s) + z, 0, qmax), as floats."""
-    return ad.clamp(ad.add(ad.round_ste(ad.div(w3, s3)), z3), 0.0, float(qmax))
+    return (ad.rint(w3 / s3) + z3).clip(0.0, float(qmax))
 
 
-def _dequant(codes3, s3, z3) -> ad.Var:
+def _dequant(codes3, s3, z3) -> np.ndarray:
     """Grouped Q = s * (codes - z)."""
-    return ad.mul(s3, ad.sub(codes3, z3))
+    return s3 * (codes3 - z3)
 
 
 def clip_to_params(mins: np.ndarray, maxs: np.ndarray,
@@ -119,9 +121,9 @@ def clip_to_params(mins: np.ndarray, maxs: np.ndarray,
     if clip is None:
         cg = cb = mins.dtype.type(1.0)
     else:
-        cg, cb = ad.sigmoid(clip.gamma), ad.sigmoid(clip.beta)
+        cg, cb = ad.sigmoid_fwd(clip.gamma), ad.sigmoid_fwd(clip.beta)
     s, z = _scale_zero(cg, cb, mins, maxs, spec.qmax)
-    return GroupParams(scale=s.value, zero=z.value)
+    return GroupParams(scale=s, zero=z)
 
 
 def quantize(w: np.ndarray, params: GroupParams, spec: QuantSpec) -> np.ndarray:
@@ -129,7 +131,7 @@ def quantize(w: np.ndarray, params: GroupParams, spec: QuantSpec) -> np.ndarray:
     w = np.asarray(w)
     codes = _codes(*_grouped(params.scale.shape[0], w, params.scale, params.zero),
                    spec.qmax)
-    return codes.value.reshape(w.shape).astype(np.uint8)
+    return codes.reshape(w.shape).astype(np.uint8)
 
 
 def dequantize(codes: np.ndarray, params: GroupParams) -> np.ndarray:
@@ -137,7 +139,7 @@ def dequantize(codes: np.ndarray, params: GroupParams) -> np.ndarray:
     codes = np.asarray(codes)
     q = _dequant(*_grouped(params.scale.shape[0], codes.astype(np.float32),
                            params.scale, params.zero))
-    return q.value.reshape(codes.shape)
+    return q.reshape(codes.shape)
 
 
 def fake_quant(w: np.ndarray, clip: ClipParams | None, spec: QuantSpec) -> np.ndarray:
@@ -149,21 +151,54 @@ def fake_quant(w: np.ndarray, clip: ClipParams | None, spec: QuantSpec) -> np.nd
 
 def ste_fake_quant(w, gamma, beta, spec: QuantSpec,
                    mins: np.ndarray, maxs: np.ndarray) -> ad.Var:
-    """Tape-recorded fake quantization.
+    """Tape-recorded fake quantization, one tape entry.
 
     `w` may be a constant array or a Var; `gamma`/`beta` are Vars holding
     the clipping logits. `mins`/`maxs` are the fixed group extrema of the
-    (fixed) weight being quantized. Rounds are straight-through, the code
-    clamp gates gradients, and the zero-point's round is also
-    straight-through so beta trains through both s and z.
+    (fixed) weight being quantized. The forward is `clip_to_params`,
+    `quantize` and `dequantize` on sig(gamma) and sig(beta). The backward
+    is that of the same formulas written as tape primitives, operation for
+    operation: rounds are straight-through, the code and zero-point clamps
+    pass gradient only strictly inside [0, qmax], the scale only above
+    SCALE_FLOOR, beta trains through both s and z, and each broadcast
+    operand's gradient is summed down by `ad._unbroadcast` where the
+    primitive would, so the gradients have the bits of that chain.
     """
-    s, z = _scale_zero(ad.sigmoid(gamma), ad.sigmoid(beta), mins, maxs, spec.qmax)
-    s3, z3, w3 = _grouped(mins.shape[0], s, z, w)
-    codes = _codes(w3, s3, z3, spec.qmax)
-    # + 0.0 normalizes any -0.0 code so the forward value is bit-identical
-    # to the plain path, where codes round-trip through integers
-    codes = ad.add(codes, codes.value.dtype.type(0.0))
-    return ad.reshape(_dequant(codes, s3, z3), w.shape)
+    w = w if isinstance(w, ad.Var) else ad.Var(w)
+    qmax = spec.qmax
+    cg, cb = ad.sigmoid_fwd(gamma.value), ad.sigmoid_fwd(beta.value)
+    s, z = _scale_zero(cg, cb, mins, maxs, qmax)
+    w3, s3, z3 = _grouped(mins.shape[0], w.value, s, z)
+    codes = _codes(w3, s3, z3, qmax)
+    out = ad.Var(_dequant(codes, s3, z3).reshape(w.shape))
+
+    def back():
+        # Q = s (codes - z), codes = clamp(round(W / s) + z); each clamp
+        # gate is read off its clamped value, strictly inside (0, qmax)
+        # exactly where the unclamped one is
+        g = out.grad.reshape(w3.shape)
+        g_codes = g * s3
+        g_pre = g_codes * ((codes > 0.0) & (codes < qmax))
+        if w.requires_grad:
+            w.accum((g_pre / s3).reshape(w.shape))
+        if not (gamma.requires_grad or beta.requires_grad):
+            return
+        unb = ad._unbroadcast
+        ds = (unb(g * (codes - z3), s3.shape)
+              + unb(-g_pre * w3 / (s3 * s3), s3.shape)).reshape(s.shape)
+        dz = (unb(-g_codes, z3.shape) + unb(g_pre, z3.shape)).reshape(z.shape)
+        # z = clamp(round(-r)), r = cb mins / s
+        d_r = -(dz * ((z > 0.0) & (z < qmax)))
+        ds = ds + unb(-d_r * (cb * mins) / (s * s), s.shape)
+        # s = max(diff / qmax, floor), diff = cg maxs - cb mins
+        d_diff = (ds * (s > SCALE_FLOOR)) / s.dtype.type(qmax)
+        if beta.requires_grad:
+            dcb = unb(d_r / s * mins, cb.shape) + unb(-d_diff * mins, cb.shape)
+            beta.accum(dcb * cb * (1.0 - cb))
+        if gamma.requires_grad:
+            gamma.accum(unb(d_diff * maxs, cg.shape) * cg * (1.0 - cg))
+
+    return ad._record("ste_fake_quant", out, (w, gamma, beta), back)
 
 
 def pack(codes: np.ndarray, spec: QuantSpec) -> PackedCodes:

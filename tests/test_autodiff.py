@@ -165,6 +165,17 @@ def test_gradcheck_round_ste_surrogate(seed):
         _check(lambda x: ad.mse(ad.round_ste(ad.scale(x, 1.3)), t), [x])
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_gradcheck_gram_mse(seed):
+    r = RngState(seed)
+    x, y = r.randn((7, 4)), r.randn((7, 3))
+    w = ad.Var(r.randn((4, 3)))
+    moments = (x.T @ x, x.T @ y, float(np.vdot(y, y)), y.size)
+    _check(lambda w: ad.gram_mse(w, *moments), [w])
+    direct = ad.mse(ad.matmul(x, w), y).value
+    assert abs(ad.gram_mse(w, *moments).value - direct) <= 1e-12 * max(1.0, direct)
+
+
 # ---------------------------------------------------------------------------
 # fused causal attention against the chain of primitives it replaces
 # ---------------------------------------------------------------------------

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from apiq import autodiff as ad
-from apiq.calib import (AdamW, CalibPlan, apiq_bw_block, apiq_lw_layer,
-                        loftq_init, quantize_model, sample_calib)
+from apiq.calib import (AdamW, CalibPlan, _second_moments, apiq_bw_block,
+                        apiq_lw_layer, loftq_init, quantize_model, sample_calib)
 from apiq.errors import ConfigError, InputError, NumericError
 from apiq.evals import activation_error_profile
 from apiq.linalg import group_minmax
 from apiq.model import (Linear, ModelConfig, TinyTransformer, forward_block,
-                        linear_apply)
-from apiq.quant import QuantSpec, fake_quant
+                        linear_apply, lora_delta)
+from apiq.quant import QuantSpec, fake_quant, ste_fake_quant
 from apiq.rng import RngState
 
 CFG = ModelConfig(vocab=64, d_model=32, n_heads=4, d_ff=64, n_blocks=2, max_seq=32)
@@ -232,6 +232,16 @@ class TestApiqLwLayer:
         msg = str(exc.value)
         assert "blocks.0.attn.q" in msg and "epoch" in msg and "batch" in msg
 
+    def test_non_finite_gradient_aborts_before_numpy_warns(self):
+        # the first step's loss (about 3e36) is finite in f32 and its
+        # gradient in W_eff (about 1e39) is not
+        spec = QuantSpec(bits=8, group=4)
+        lay = _linear("blocks.0.attn.q", RngState(1).randn((4, 4)) * 0.1)
+        x = (RngState(2).randn((2, 2, 4)) * 1e21).astype(np.float32)
+        plan = CalibPlan(method="apiq-lw", epochs=1, batch=2, seed=0)
+        with pytest.raises(NumericError, match="blocks.0.attn.q, epoch 1, batch 0"):
+            apiq_lw_layer(lay, x @ lay.weight, x, plan, spec, rank=2, stream=RngState(3))
+
     def test_yq_matches_frozen_layer_apply(self):
         spec = QuantSpec(bits=2, group=8)
         w = (RngState(21).randn((8, 8)) * 0.1).astype(np.float32)
@@ -241,6 +251,35 @@ class TestApiqLwLayer:
         yq, _ = apiq_lw_layer(lay, xq @ w, xq, plan, spec, rank=2,
                               stream=RngState(23))
         assert yq.tobytes() == (xq @ lay.effective_weight()).tobytes()
+
+
+class TestGramStep:
+    """An `apiq-lw` step takes mse(X^q W_eff, Y) and its gradient from the
+    batch's second moments instead of X^q W_eff itself."""
+
+    @pytest.mark.parametrize("bits", [2, 4])
+    def test_gradient_equals_direct_mse_f32(self, bits):
+        r = RngState(60 + bits)
+        spec = QuantSpec(bits=bits, group=32)
+        w = (r.randn((64, 48)) * 0.1).astype(np.float32)
+        x = r.randn((4, 128, 64)).astype(np.float32)
+        x_q = x + (r.randn(x.shape) * 0.05).astype(np.float32)
+        mins, maxs = group_minmax(w, spec.group)
+        gamma = ad.Var(np.float32(4.0) + (r.randn(()) * 0.5).astype(np.float32))
+        q = ste_fake_quant(w, gamma, gamma, spec, mins, maxs).value
+        a, b = ((r.randn((d, 4)) * 0.05).astype(np.float32) for d in (64, 48))
+        w_eff = q + lora_delta(ad.Var(a), ad.Var(b), 4.0).value
+        grads = []
+        for loss_fn in (lambda wv: ad.gram_mse(wv, *_second_moments(x_q, x @ w)),
+                        lambda wv: ad.mse(ad.matmul(x_q, wv), x @ w)):
+            wv = ad.param(w_eff.copy())
+            with ad.Tape() as tape:
+                loss = loss_fn(wv)
+            ad.backward(tape, loss)
+            assert wv.grad.dtype == np.float32
+            grads.append(wv.grad)
+        gram, direct = grads
+        assert np.abs(gram - direct).max() <= 1e-6 * np.abs(direct).max()
 
 
 class TestApiqBwBlock:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from apiq import model_io
-from apiq.checkpoint import load_tensors, save_tensors
+from apiq.checkpoint import atomic_write, load_tensors, save_tensors
 from apiq.errors import FormatError
 from apiq.linalg import group_minmax
 from apiq.model import ModelConfig, QuantState, TinyTransformer
@@ -147,6 +147,24 @@ class TestRawFormat:
         with pytest.raises(TypeError):
             save_tensors(p, [("ok", np.ones(4, dtype=np.float32)), self.UNWRITABLE])
         assert list(tmp_path.iterdir()) == []
+
+    def test_existing_temp_file_is_not_touched(self, tmp_path):
+        p = tmp_path / "t.ckpt"
+        tmp = tmp_path / "t.ckpt.tmp"
+        tmp.write_bytes(b"precious")
+        with pytest.raises(FileExistsError):
+            save_tensors(p, [("ok", np.ones(4, dtype=np.float32))])
+        assert tmp.read_bytes() == b"precious"
+        assert list(tmp_path.iterdir()) == [tmp]
+
+    def test_failed_write_removes_only_its_own_temp_files(self, tmp_path):
+        paths = [tmp_path / "a", tmp_path / "b"]
+        theirs = tmp_path / "b.tmp"
+        theirs.write_bytes(b"precious")
+        with pytest.raises(FileExistsError), atomic_write(paths):
+            pass
+        assert theirs.read_bytes() == b"precious"
+        assert list(tmp_path.iterdir()) == [theirs]
 
     def test_failed_save_keeps_old_bytes(self, tmp_path):
         p = tmp_path / "t.ckpt"

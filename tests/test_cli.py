@@ -595,6 +595,43 @@ def test_derived_directory_beside_input_exit_2_before_work(ws, pretrained, quant
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ckpt", "in.ckpt.act.tsv"]
 
 
+# a regular file at the temp path of an output: the command wrote over it
+# and renamed it away, exit 0
+@pytest.mark.parametrize("command,suffix", [("pretrain", ""),
+                                            ("pretrain", ".train.tsv"),
+                                            ("quantize", ""),
+                                            ("quantize", ".calib.tsv"),
+                                            ("finetune", ""),
+                                            ("finetune", ".finetune.tsv"),
+                                            ("eval", ".act.tsv"),
+                                            ("eval", ".weight.tsv")])
+def test_file_at_temp_path_exit_2_and_kept(ws, pretrained, quantized, capsys, tmp_path,
+                                           command, suffix):
+    tmp = tmp_path / f"x{suffix}.tmp"
+    tmp.write_text("precious")
+    assert main(_stage_argv(command, ws / "run.cfg", ws, tmp_path / "x", pretrained,
+                            quantized)) == 2
+    assert f"x{suffix}.tmp already exists" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [tmp.name]
+    assert tmp.read_text() == "precious"
+
+
+@pytest.mark.parametrize("command", ["pretrain", "quantize", "finetune", "eval"])
+def test_each_file_has_one_temp_name(ws, pretrained, quantized, tmp_path, command):
+    """A command writes each file under `<file>.tmp` only: files at any
+    other name beside it, such as `<file>.tmp.tmp`, are never touched."""
+    written = ([".act.tsv", ".weight.tsv"] if command == "eval"
+               else ["", f".{LOGS[command]}.tsv"])
+    others = [tmp_path / f"x{suffix}.tmp.tmp" for suffix in written]
+    for other in others:
+        other.write_text("precious")
+    assert main(_stage_argv(command, ws / "run.cfg", ws, tmp_path / "x", pretrained,
+                            quantized)) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [f"x{suffix}" for suffix in written] + [p.name for p in others])
+    assert all(other.read_text() == "precious" for other in others)
+
+
 @pytest.mark.parametrize("command", ["pretrain", "quantize", "finetune", "eval"])
 def test_out_in_missing_directory_exit_2_before_work(ws, pretrained, quantized, capsys,
                                                      command):
