@@ -19,9 +19,9 @@ transformer block jointly against the full-precision block output. Both
 variants run one shared AdamW loop (`_calibrate`) that tracks the
 epoch-end loss on the whole calibration set (taken directly, with the
 weights of that epoch's end) and keeps the best-seen parameter state, so
-the retained loss never exceeds the value at initialization. A
-non-finite epoch-end loss, or a step whose loss or gradients are not
-finite, is an error.
+the retained loss never exceeds the value at initialization. Each batch
+is one `AdamW.minimize`, the step training takes too; a non-finite step
+or epoch-end loss is an error.
 
 Adapters start from the standard low-rank-adapter default (A uniform in
 +-1/sqrt(d1), B = 0) so the initial loss equals the pure-quantization
@@ -41,7 +41,7 @@ from . import autodiff as ad
 from .errors import ConfigError, InputError, NumericError, check_fields
 from .linalg import group_minmax, truncated_svd
 from .model import (Block, Linear, LoraPair, ModelConfig, QuantState,
-                    TinyTransformer, forward_block, linear_apply, w_eff)
+                    TinyTransformer, _bound, forward_block, linear_apply, w_eff)
 from .quant import (ClipParams, QuantSpec, clip_to_params, dequantize,
                     pack, quantize, ste_fake_quant)
 from .rng import RngState
@@ -97,7 +97,7 @@ class AdamW:
     """Decoupled-weight-decay Adam updating numpy arrays in place.
 
     Each group is (params, lr, weight_decay) and grads are passed aligned
-    with it.
+    with it; `minimize` is the one taped step.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -122,6 +122,35 @@ class AdamW:
                 m += (1.0 - self.BETA1) * (g - m)
                 v += (1.0 - self.BETA2) * (g * g - v)
                 p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
+
+    def minimize(self, loss_of, where: str, lr_scale: float = 1.0) -> float:
+        """One step on the scalar `loss_of(bound)` recorded on a tape, `bound`
+        mapping id(array) to the Var read in place of each optimizer array
+        (see `model._bound`); returns the loss. A loss or gradient that is not
+        finite, or whose square (the second moment) is not, raises
+        NumericError naming `where` before numpy warns or any array changes.
+        Only the tape holds the forward's intermediates, it keeps none that
+        its backward recomputes cheaply (rotated q/k, the SiLU gate's
+        sigmoid), and `backward` frees each entry's saved arrays as it goes
+        back, so a pretraining step at the default shapes peaks at about
+        14.5 MiB; `cli.main` keeps freed heap memory in the process, so the
+        next step reuses it instead of faulting it back in.
+        """
+        bound = {id(p): ad.param(p) for params, _, _ in self.groups for p in params}
+        with np.errstate(over="ignore", invalid="ignore"):
+            with ad.Tape() as tape:
+                loss = loss_of(bound)
+            finite = np.isfinite(loss.value)
+            if finite:
+                ad.backward(tape, loss)
+                grads = [[bound[id(p)].grad for p in params] for params, _, _ in self.groups]
+                # g * g is finite where its peak's square is (rounding is monotone)
+                finite = all(np.isfinite(np.square(np.maximum(-g.min(), g.max())))
+                             for gs in grads for g in gs if g is not None)
+        if not finite:
+            raise NumericError(f"non-finite loss or gradient at {where}")
+        self.step(grads, lr_scale)
+        return float(loss.value)
 
 
 # ---------------------------------------------------------------------------
@@ -233,34 +262,32 @@ def _calibrate(states: list[_TrainableQuant], step_loss, set_loss, n_batches: in
     """Minimize the unit's output MSE over the states' clip logits and
     adapters with AdamW; the loop both calibration variants share.
 
-    `step_loss(i, trainable)` is batch i's loss on the tape and
-    `set_loss(trainable)` the loss on the whole set as a float; `trainable`
-    binds each state's clip logits, adapter factors and, to its fake-quant
-    expression, its weight (see `model.w_eff`). The set loss is taken
-    after every epoch; the best state seen (strictly lower loss) is
-    restored and every state frozen. A non-finite set loss, or a step
-    whose loss or gradients are non-finite, raises NumericError naming the
-    unit and epoch (and batch), before numpy warns. Returns the per-epoch
-    log.
+    `step_loss(i, trainable)` is batch i's loss, one `AdamW.minimize` step
+    each, and `set_loss(trainable)` the loss on the whole set as a float;
+    `bind` adds each state's weight, as its fake-quant expression, to the
+    `trainable` it is given (see `model.w_eff`), an empty one for the set
+    loss. The set loss is taken after every epoch; the best state seen
+    (strictly lower loss) is restored and every state frozen. A non-finite
+    set loss, or a step whose loss or gradients are non-finite, raises
+    NumericError naming the unit and epoch (and batch), before numpy
+    warns. Returns the per-epoch log.
     """
     adapters = [st.layer.lora for st in states if st.layer.lora is not None]
     lora = [p for pair in adapters for p in (pair.a, pair.b)]
     theta = [p for st in states for p in (st.gamma, st.beta)]
-    groups = [(ps, lr, plan.weight_decay)
-              for ps, lr in ((lora, plan.lr_lora), (theta, plan.lr_theta)) if ps]
-    opt = AdamW(groups)
+    opt = AdamW([(ps, lr, plan.weight_decay)
+                 for ps, lr in ((lora, plan.lr_lora), (theta, plan.lr_theta)) if ps])
     params = lora + theta
 
-    def bind(leaf) -> dict[int, ad.Var]:
-        bound = {id(p): leaf(p) for p in params}
+    def bind(bound: dict[int, ad.Var]) -> dict[int, ad.Var]:
         for st in states:
             bound[id(st.layer.weight)] = ste_fake_quant(
-                st.layer.weight, bound[id(st.gamma)], bound[id(st.beta)], spec,
+                st.layer.weight, _bound(st.gamma, bound), _bound(st.beta, bound), spec,
                 st.mins, st.maxs)
         return bound
 
     def full_loss(epoch: int) -> float:
-        loss = set_loss(bind(ad.Var))
+        loss = set_loss(bind({}))
         if not math.isfinite(loss):
             raise NumericError(f"non-finite loss at {unit}, epoch {epoch}")
         return loss
@@ -269,19 +296,8 @@ def _calibrate(states: list[_TrainableQuant], step_loss, set_loss, n_batches: in
     rows = [CalibLogRow(unit=unit, epoch=0, loss=best)]
     for epoch in range(1, plan.epochs + 1):
         for i in range(n_batches):
-            with np.errstate(over="ignore", invalid="ignore"):
-                with ad.Tape() as tape:
-                    bound = bind(ad.param)
-                    loss = step_loss(i, bound)
-                finite = np.isfinite(loss.value)
-                if finite:
-                    ad.backward(tape, loss)
-                    grads = [[bound[id(p)].grad for p in ps] for ps, _, _ in groups]
-                    finite = all(np.isfinite(g).all() for gs in grads for g in gs)
-            if not finite:
-                raise NumericError(f"non-finite loss or gradient at {unit}, "
-                                   f"epoch {epoch}, batch {i}")
-            opt.step(grads)
+            opt.minimize(lambda bound: step_loss(i, bind(bound)),
+                         f"{unit}, epoch {epoch}, batch {i}")
         end = full_loss(epoch)
         rows.append(CalibLogRow(unit=unit, epoch=epoch, loss=end))
         if end < best:

@@ -4,13 +4,15 @@ Exit codes are a stable contract: 0 success, 2 configuration error,
 3 input-data error, 4 numeric failure. Each command names the files it
 writes, checks them with one rule before any work and writes them last,
 atomically, so a failed command leaves no file created or changed. The
-first line of every TSV echoes the fully resolved configuration.
+first line of every TSV echoes the fully resolved configuration, with the
+settings of the checkpoint a command reads in place of the config's.
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import os
 import sys
 
@@ -124,8 +126,22 @@ def _config(args) -> dict:
                                      if "." in key and value is not None})
 
 
-def _check_lengths(cfg: dict, max_seq: int, *keys: str) -> None:
-    """Reject a sequence length longer than the model takes before any work."""
+def _as_read(cfg: dict, model: TinyTransformer) -> dict:
+    """`cfg` with the `model.*` values of the checkpoint `model` was loaded
+    from and, if it is quantized, the `quant.*` values of its `quant.meta`
+    and its largest adapter rank (0 with none) as `quant.rank`."""
+    cfg = {**cfg, **{f"model.{k}": v for k, v in dataclasses.asdict(model.config).items()}}
+    specs = [lay.qstate.spec for lay in model.iter_layers() if lay.qstate is not None]
+    if specs:
+        cfg.update({f"quant.{k}": v for k, v in dataclasses.asdict(specs[0]).items()})
+        cfg["quant.rank"] = max((lay.lora.a.shape[1] for lay in model.iter_layers()
+                                 if lay.lora is not None), default=0)
+    return cfg
+
+
+def _check_lengths(cfg: dict, *keys: str) -> None:
+    """Reject a sequence length longer than `model.max_seq` before any work."""
+    max_seq = cfg["model.max_seq"]
     for key in keys:
         if cfg[key] > max_seq:
             raise ConfigError(f"{key} {cfg[key]} exceeds the model's max_seq {max_seq}")
@@ -146,10 +162,9 @@ def _save(files: list[str], model: TinyTransformer, header: list[str], rows,
 def cmd_pretrain(args, cfg: dict) -> int:
     files = [args.out, f"{args.out}.train.tsv"]
     _check_out("--out", args.out, files)
-    model_cfg = section(cfg, "model", ModelConfig)
-    _check_lengths(cfg, model_cfg.max_seq, "pretrain.seq_len", "eval.chunk_len")
+    _check_lengths(cfg, "pretrain.seq_len", "eval.chunk_len")
     corpus = _corpus_tokens(args.corpus)
-    model = TinyTransformer.init(model_cfg, seed=cfg["seed"])
+    model = TinyTransformer.init(section(cfg, "model", ModelConfig), seed=cfg["seed"])
     rows = train.pretrain(model, corpus, section(cfg, "pretrain", train.PretrainPlan))
     ppl = perplexity(model, corpus, cfg["eval.chunk_len"])
     _save(files, model, ["step", "loss"], [(r.step, r.loss) for r in rows], cfg)
@@ -163,7 +178,8 @@ def cmd_quantize(args, cfg: dict) -> int:
     spec = section(cfg, "quant", QuantSpec)
     plan = section(cfg, "calib", CalibPlan)
     model = model_io.load_model(args.input)
-    _check_lengths(cfg, model.config.max_seq, "calib.seq_len")
+    cfg = _as_read(cfg, model)
+    _check_lengths(cfg, "calib.seq_len")
     calib = _calib_set(plan, _corpus_tokens(args.corpus))
     qmodel, rows = quantize_model(model, calib, plan, spec, rank=cfg["quant.rank"])
     _save(files, qmodel, ["layer", "epoch", "loss"],
@@ -175,7 +191,8 @@ def cmd_finetune(args, cfg: dict) -> int:
     files = [args.out, f"{args.out}.finetune.tsv"]
     _check_out("--out", args.out, files)
     model = model_io.load_model(args.input)
-    _check_lengths(cfg, model.config.max_seq, "finetune.seq_len", "eval.chunk_len")
+    cfg = _as_read(cfg, model)
+    _check_lengths(cfg, "finetune.seq_len", "eval.chunk_len")
     corpus = _corpus_tokens(args.corpus)
 
     def on_epoch(epoch: int, ppl: float):
@@ -191,13 +208,14 @@ def cmd_finetune(args, cfg: dict) -> int:
 def cmd_eval(args, cfg: dict) -> int:
     check("--bins", args.bins, **BINS)
     model = model_io.load_model(args.input)
+    cfg = _as_read(cfg, model)
     flag, prefix = (("--in", args.input) if args.report_prefix is None
                     else ("--report-prefix", args.report_prefix))
     act_tsv, weight_tsv, hist_tsv = (f"{prefix}.{k}.tsv" for k in ("act", "weight", "hist"))
     _check_out(flag, prefix, [act_tsv, weight_tsv] * (args.profile_against is not None)
                + [hist_tsv] * (args.hist is not None))
     layer = None if args.hist is None else model.find_layer(args.hist)
-    _check_lengths(cfg, model.config.max_seq, "eval.chunk_len")
+    _check_lengths(cfg, "eval.chunk_len")
     corpus = _corpus_tokens(args.corpus)
 
     # (path, header, rows) of each report, written once every step has run
@@ -205,8 +223,8 @@ def cmd_eval(args, cfg: dict) -> int:
     full = None
     if args.profile_against is not None:
         full = model_io.load_model(args.profile_against)
-        _check_lengths(cfg, min(model.config.max_seq, full.config.max_seq),
-                       "calib.seq_len")
+        for read in (cfg, _as_read(cfg, full)):
+            _check_lengths(read, "calib.seq_len")
         calib = _calib_set(section(cfg, "calib", CalibPlan), corpus)
         act = activation_error_profile(full, model, calib.tokens)
         wer = weight_error_report(full, model)

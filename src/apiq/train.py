@@ -3,7 +3,8 @@ and adapter-only finetuning of a quantized model.
 
 Finetuning trains the low-rank adapters at the selected positions only
 (attn = q/k/v/o, ffn = gate/up/down); everything else, in particular the
-packed codes and their scales/zero-points, is never touched.
+packed codes and their scales/zero-points, is never touched. Both take
+each step through `AdamW.minimize` on the next-token cross-entropy.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .calib import AdamW
-from .errors import ConfigError, InputError, NumericError, check_fields
+from .errors import ConfigError, InputError, check_fields
 from .evals import perplexity
 from .model import ATTN_LAYERS, MLP_LAYERS, TinyTransformer
 from .rng import RngState
@@ -76,7 +77,7 @@ def pretrain(model: TinyTransformer, corpus: np.ndarray,
     for step in range(plan.steps):
         starts = rng.randint(0, len(corpus) - plan.seq_len, (plan.batch,))
         window = np.stack([corpus[s: s + plan.seq_len + 1] for s in starts])
-        loss = _step(model, opt, params, window, f"pretraining loss at step {step}")
+        loss = opt.minimize(_next_token_loss(model, window), f"pretraining step {step}")
         rows.append(TrainLogRow(epoch=0, step=step, loss=loss))
     return rows
 
@@ -114,9 +115,9 @@ def finetune(model: TinyTransformer, corpus: np.ndarray, eval_corpus: np.ndarray
             idx = order[lo: lo + batch]
             window = np.stack([corpus[i * seq_len: i * seq_len + seq_len + 1]
                                for i in idx])
-            loss = _step(model, opt, params, window,
-                         f"finetuning loss at epoch {epoch}, step {step}",
-                         _lr_factor(schedule, step, total_steps, warm_steps))
+            loss = opt.minimize(_next_token_loss(model, window),
+                                f"finetuning epoch {epoch}, step {step}",
+                                _lr_factor(schedule, step, total_steps, warm_steps))
             rows.append(TrainLogRow(epoch=epoch, step=step, loss=loss))
             step += 1
         ppl = perplexity(model, eval_corpus, chunk_len)
@@ -126,29 +127,11 @@ def finetune(model: TinyTransformer, corpus: np.ndarray, eval_corpus: np.ndarray
     return rows
 
 
-def _step(model: TinyTransformer, opt: AdamW, params: list[np.ndarray],
-          window: np.ndarray, what: str,
-          lr_scale: float = 1.0) -> float:
-    """One AdamW step on next-token cross-entropy over `params`, the model
-    arrays bound by identity; returns the loss. A non-finite loss raises
-    NumericError naming `what`.
-
-    Only the tape holds the forward's intermediates, it keeps none that
-    its backward recomputes cheaply (rotated q/k, the SiLU gate's sigmoid),
-    and `backward` frees each entry's saved arrays as it goes back, so a
-    step at the default shapes peaks at about 14.5 MiB; `cli.main` keeps
-    freed heap memory in the process, so the next step reuses it instead
-    of faulting it back in.
-    """
-    trainable = {id(a): ad.param(a) for a in params}
-    with ad.Tape() as tape:
-        loss = ad.cross_entropy(model.forward(window[:, :-1], trainable=trainable),
-                                window[:, 1:])
-    if not np.isfinite(loss.value):
-        raise NumericError(f"non-finite {what}")
-    ad.backward(tape, loss)
-    opt.step([[v.grad for v in trainable.values()]], lr_scale=lr_scale)
-    return float(loss.value)
+def _next_token_loss(model: TinyTransformer, window: np.ndarray):
+    """The cross-entropy of each window's next byte, as a function of the
+    arrays the optimizer binds."""
+    return lambda bound: ad.cross_entropy(model.forward(window[:, :-1], trainable=bound),
+                                          window[:, 1:])
 
 
 def _lr_factor(schedule: str, step: int, total: int, warm: int) -> float:

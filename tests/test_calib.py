@@ -232,15 +232,21 @@ class TestApiqLwLayer:
         msg = str(exc.value)
         assert "blocks.0.attn.q" in msg and "epoch" in msg and "batch" in msg
 
-    def test_non_finite_gradient_aborts_before_numpy_warns(self):
-        # the first step's loss (about 3e36) is finite in f32 and its
-        # gradient in W_eff (about 1e39) is not
+    def test_non_finite_gradient_aborts_before_numpy_warns(self, optimized_arrays):
+        # inputs at 1e21: the first step's loss (about 3e36) is finite in f32
+        # and its gradient in W_eff (about 1e39) is not; at 1e12 a gradient
+        # is finite and its square, AdamW's second moment, is not
         spec = QuantSpec(bits=8, group=4)
-        lay = _linear("blocks.0.attn.q", RngState(1).randn((4, 4)) * 0.1)
-        x = (RngState(2).randn((2, 2, 4)) * 1e21).astype(np.float32)
         plan = CalibPlan(method="apiq-lw", epochs=1, batch=2, seed=0)
-        with pytest.raises(NumericError, match="blocks.0.attn.q, epoch 1, batch 0"):
-            apiq_lw_layer(lay, x @ lay.weight, x, plan, spec, rank=2, stream=RngState(3))
+        for scale in (1e21, 1e12):
+            optimized_arrays.clear()
+            lay = _linear("blocks.0.attn.q", RngState(1).randn((4, 4)) * 0.1)
+            x = (RngState(2).randn((2, 2, 4)) * scale).astype(np.float32)
+            with pytest.raises(NumericError, match="blocks.0.attn.q, epoch 1, batch 0"):
+                apiq_lw_layer(lay, x @ lay.weight, x, plan, spec, rank=2,
+                              stream=RngState(3))
+            assert len(optimized_arrays) == 4
+            assert all(np.array_equal(p, before) for p, before in optimized_arrays)
 
     def test_yq_matches_frozen_layer_apply(self):
         spec = QuantSpec(bits=2, group=8)

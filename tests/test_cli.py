@@ -661,6 +661,60 @@ def test_multi_field_rule_exit_2_before_work(ws, pretrained, quantized, capsys, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rule.cfg"]
 
 
+# settings that contradict the checkpoint a command reads: `quantize`,
+# `finetune` and `eval` exited 0 and echoed these values in their logs
+CONTRARY = "model.vocab = 7\nquant.bits = 8\nquant.group = 4\nquant.rank = 1\n"
+
+
+def _logged(tsv) -> dict[str, str]:
+    """The key=value pairs of the config line that begins `tsv`."""
+    head, line = tsv.read_text().splitlines()[0].split("\t")
+    assert head == "config"
+    return dict(pair.split("=", 1) for pair in line.split(" "))
+
+
+def test_quantize_logs_the_checkpoint_model(ws, pretrained, tmp_path):
+    cfg = tmp_path / "contrary.cfg"
+    cfg.write_text(CONFIG_TEXT + "model.vocab = 1\nmodel.n_blocks = 1\n")
+    assert main(["quantize", "--config", str(cfg), "--in", str(pretrained),
+                 "--method", "apiq-lw", "--corpus", str(ws / "corpus.txt"),
+                 "--out", str(tmp_path / "lw.ckpt")]) == 0
+    logged = _logged(tmp_path / "lw.ckpt.calib.tsv")
+    assert (logged["model.vocab"], logged["model.n_blocks"]) == ("256", "2")
+    assert (logged["quant.group"], logged["quant.rank"]) == ("16", "4")
+
+
+def test_finetune_logs_the_checkpoint_model_and_quantization(ws, pretrained, tmp_path):
+    """A 2-bit, rank-2, group-16 qlora checkpoint."""
+    q = tmp_path / "r2.ckpt"
+    assert main(["quantize", "--config", str(ws / "run.cfg"), "--in", str(pretrained),
+                 "--method", "qlora", "--rank", "2", "--corpus", str(ws / "corpus.txt"),
+                 "--out", str(q)]) == 0
+    cfg = tmp_path / "contrary.cfg"
+    cfg.write_text(CONFIG_TEXT + CONTRARY)
+    assert main(["finetune", "--config", str(cfg), "--in", str(q), "--corpus",
+                 str(ws / "corpus.txt"), "--out", str(tmp_path / "ft.ckpt")]) == 0
+    logged = _logged(tmp_path / "ft.ckpt.finetune.tsv")
+    assert {k: logged[k] for k in ("model.vocab", "quant.bits", "quant.group", "quant.rank",
+                                   "quant.clip_granularity")} == {
+        "model.vocab": "256", "quant.bits": "2", "quant.group": "16", "quant.rank": "2",
+        "quant.clip_granularity": "per-matrix"}
+
+
+def test_eval_logs_the_checkpoint_model_and_quantization(ws, pretrained, rtn_quantized,
+                                                         tmp_path):
+    """A 2-bit, group-16 rtn checkpoint, which has no adapters."""
+    cfg = tmp_path / "contrary.cfg"
+    cfg.write_text(CONFIG_TEXT + CONTRARY)
+    assert main(["eval", "--config", str(cfg), "--in", str(rtn_quantized), "--corpus",
+                 str(ws / "corpus.txt"), "--profile-against", str(pretrained),
+                 "--hist", "blocks.0.mlp.down", "--report-prefix", str(tmp_path / "r")]) == 0
+    for kind in ("act", "weight", "hist"):
+        logged = _logged(tmp_path / f"r.{kind}.tsv")
+        assert [logged[k] for k in ("model.vocab", "quant.bits", "quant.group",
+                                    "quant.rank")] == ["256", "2", "16", "0"]
+
+
 # a 1-block model whose corpus fits a pretrain or calibration window but
 # not one eval chunk: each command wrote its files, then failed in
 # perplexity with exit 3

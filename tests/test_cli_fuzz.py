@@ -24,9 +24,12 @@ command must return 0, 2, 3 or 4; a command that fails leaves its
 directory as it found it, and one that succeeds writes the resolved
 config as the first line of every TSV and checkpoints that load. In-range
 values come only from the bounds themselves, so no example runs long.
+A command that reads a checkpoint records that checkpoint's `model.*`
+values, and a quantized one's `quant.*` values, in place of the config's.
 """
 
 import contextlib
+import dataclasses
 import io
 import math
 import shutil
@@ -37,8 +40,10 @@ from hypothesis import strategies as st
 
 from apiq import model_io
 from apiq.calib import METHODS
-from apiq.checkpoint import temp_path
+from apiq.checkpoint import load_tensors, temp_path
 from apiq.cli import main
+from apiq.model import ModelConfig
+from apiq.quant import GRANULARITIES
 from apiq.runconfig import SCHEMA, canonical_config, default_corpus_path, load_config
 
 MAX_SEQ = 32
@@ -239,6 +244,22 @@ config_lines = st.sampled_from(sorted(SCHEMA)).flatmap(
     lambda key: _values(key).map(lambda raw: f"{key} = {raw}"))
 
 
+def _stored_settings(path) -> dict:
+    """The `model.*` values in the `config` header of the checkpoint at
+    `path` and, when it has a `quant.meta` header, the `quant.*` values it
+    and the adapter shapes give."""
+    tensors = dict(load_tensors(str(path)))
+    settings = {f"model.{f.name}": type(f.default)(v)
+                for f, v in zip(dataclasses.fields(ModelConfig), tensors["config"].tolist())}
+    if "quant.meta" in tensors:
+        bits, group, gran, _ = tensors["quant.meta"].tolist()
+        settings.update({"quant.bits": int(bits), "quant.group": int(group),
+                         "quant.clip_granularity": GRANULARITIES[int(gran)],
+                         "quant.rank": max((t.shape[1] for n, t in tensors.items()
+                                            if n.endswith(".lora_a")), default=0)})
+    return settings
+
+
 @FUZZ
 @given(argv=commands, lines=st.lists(config_lines, min_size=1, max_size=3),
        repeat=st.booleans())
@@ -257,7 +278,10 @@ def test_config_lines_exit_code_and_files(inputs, tmp_path_factory, argv, lines,
         assert after == before
         return
     flags = {"calib.method": argv[argv.index("--method") + 1]} if "--method" in argv else {}
-    config = f"config\t{canonical_config(load_config(str(root / 'run.cfg'), flags))}\n"
+    resolved = load_config(str(root / "run.cfg"), flags)
+    if "--in" in argv:
+        resolved.update(_stored_settings(root / argv[argv.index("--in") + 1]))
+    config = f"config\t{canonical_config(resolved)}\n"
     for name, data in after.items():
         if before.get(name) == data:
             continue
