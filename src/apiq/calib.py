@@ -159,8 +159,7 @@ class AdamW:
 
 def _freeze(layer: Linear, codes: np.ndarray, params, clip, spec: QuantSpec,
             lora: LoraPair | None) -> None:
-    layer.qstate = QuantState(codes=pack(codes, spec), params=params,
-                              clip=clip, spec=spec)
+    layer.qstate = QuantState(codes=pack(codes, spec), params=params, clip=clip)
     layer.weight = None
     layer.lora = lora
 
@@ -170,7 +169,7 @@ def _lora_default(d1: int, d2: int, rank: int, stream: RngState) -> LoraPair | N
         return None
     bound = 1.0 / math.sqrt(d1)
     a = stream.uniform((d1, rank), -bound, bound).astype(np.float32)
-    return LoraPair(a=a, b=np.zeros((d2, rank), dtype=np.float32), alpha=float(rank))
+    return LoraPair(a=a, b=np.zeros((d2, rank), dtype=np.float32))
 
 
 def loftq_init(layer: Linear, spec: QuantSpec, rank: int, iters: int) -> None:
@@ -194,7 +193,7 @@ def loftq_init(layer: Linear, spec: QuantSpec, rank: int, iters: int) -> None:
         res = truncated_svd(residual.astype(np.float64), rank)
         a = (res.u * res.s).astype(np.float32)
         b = res.v.astype(np.float32)
-    lora = LoraPair(a=a, b=b, alpha=float(rank)) if rank else None
+    lora = LoraPair(a=a, b=b) if rank else None
     _freeze(layer, codes, params, None, spec, lora)
 
 
@@ -389,6 +388,7 @@ def quantize_model(model: TinyTransformer, calib: CalibSet, plan: CalibPlan,
             raise NumericError(f"non-finite tensor {name}")
 
     student = copy.deepcopy(model)
+    student.quant = spec
     rng = RngState(plan.seed)
     rows: list[CalibLogRow] = []
 

@@ -128,14 +128,12 @@ def _config(args) -> dict:
 
 def _as_read(cfg: dict, model: TinyTransformer) -> dict:
     """`cfg` with the `model.*` values of the checkpoint `model` was loaded
-    from and, if it is quantized, the `quant.*` values of its `quant.meta`
-    and its largest adapter rank (0 with none) as `quant.rank`."""
+    from and, if it is quantized, the `quant.*` values of its `quant.meta`:
+    its spec and the rank its adapters share (0 with none) as `quant.rank`."""
     cfg = {**cfg, **{f"model.{k}": v for k, v in dataclasses.asdict(model.config).items()}}
-    specs = [lay.qstate.spec for lay in model.iter_layers() if lay.qstate is not None]
-    if specs:
-        cfg.update({f"quant.{k}": v for k, v in dataclasses.asdict(specs[0]).items()})
-        cfg["quant.rank"] = max((lay.lora.a.shape[1] for lay in model.iter_layers()
-                                 if lay.lora is not None), default=0)
+    if model.quant is not None:
+        cfg.update({f"quant.{k}": v for k, v in dataclasses.asdict(model.quant).items()})
+        cfg["quant.rank"] = model.adapter_rank()
     return cfg
 
 
@@ -215,6 +213,8 @@ def cmd_eval(args, cfg: dict) -> int:
     _check_out(flag, prefix, [act_tsv, weight_tsv] * (args.profile_against is not None)
                + [hist_tsv] * (args.hist is not None))
     layer = None if args.hist is None else model.find_layer(args.hist)
+    if layer is not None:
+        check("--bins", args.bins, **BINS, hi=layer.d1 * layer.d2)
     _check_lengths(cfg, "eval.chunk_len")
     corpus = _corpus_tokens(args.corpus)
 

@@ -135,8 +135,8 @@ def histogram_export(layer: Linear, bins: int,
     """(bin centers, counts) per tensor of the layer: the full-precision
     weight when available, the dequantized codes Q, the adapter product
     A B^T and the factors A and B. Bin ranges span each tensor's min..max
-    and counts always sum to the element count."""
-    check("bins", bins, **BINS)
+    and counts always sum to the element count; bins <= the d1 * d2 weights."""
+    check("bins", bins, **BINS, hi=layer.d1 * layer.d2)
     tensors: dict[str, np.ndarray] = {}
     w = layer.weight if layer.weight is not None else reference_weight
     if w is not None:

@@ -9,7 +9,7 @@ Every linear layer may be full-precision (a weight matrix), quantized
 (packed codes + group scale/zero + optional clipping logits), or either
 with an attached low-rank adapter. The effective weight is
 
-    W_eff = base + (alpha / r) * A @ B^T
+    W_eff = base + A @ B^T        (no adapter scaling, as in ApiQ and LoftQ)
 
 and is formed in one function, `w_eff`, that all forwards and calibration
 share, so the propagated activations of the quantized path are bit-exact
@@ -76,29 +76,27 @@ class ModelConfig:
 
 @dataclass
 class LoraPair:
-    """Low-rank factors A (d1, r), B (d2, r) and scaling alpha."""
+    """Low-rank factors A (d1, r) and B (d2, r)."""
 
     a: np.ndarray
     b: np.ndarray
-    alpha: float
 
     def delta(self) -> np.ndarray:
-        return lora_delta(ad.Var(self.a), ad.Var(self.b), self.alpha).value
+        return lora_delta(ad.Var(self.a), ad.Var(self.b)).value
 
 
-def lora_delta(a: ad.Var, b: ad.Var, alpha: float) -> ad.Var:
-    """The adapter term (alpha / r) * A @ B^T as a tape expression."""
-    return ad.scale(ad.matmul(a, ad.swap_last(b)), alpha / a.shape[1])
+def lora_delta(a: ad.Var, b: ad.Var) -> ad.Var:
+    """The adapter term A @ B^T as a tape expression."""
+    return ad.matmul(a, ad.swap_last(b))
 
 
 @dataclass
 class QuantState:
-    """Frozen quantization payload of one linear layer."""
+    """Frozen quantization payload of one layer, under the model's `quant`."""
 
     codes: PackedCodes
     params: GroupParams
     clip: ClipParams | None
-    spec: QuantSpec
     _deq: np.ndarray | None = field(default=None, repr=False)
 
     def dequantized(self) -> np.ndarray:
@@ -159,6 +157,7 @@ class TinyTransformer:
                 norm2=np.ones(config.d_model, dtype=dtype),
                 layers=layers))
         self.final_norm = np.ones(config.d_model, dtype=dtype)
+        self.quant: QuantSpec | None = None  # the one spec of quantized layers
         # name -> Linear for every projection, in dataflow order
         self.layers = {lay.name: lay for block in self.blocks
                        for lay in block.layers.values()}
@@ -177,6 +176,13 @@ class TinyTransformer:
 
     def iter_layers(self):
         return iter(self.layers.values())
+
+    def adapter_rank(self) -> int:
+        """The rank all adapters share, 0 with none; a checkpoint records one."""
+        ranks = {lay.lora.a.shape[1] for lay in self.iter_layers() if lay.lora is not None}
+        if len(ranks) > 1:
+            raise ValueError(f"adapters of mixed ranks {sorted(ranks)} are not persistable")
+        return ranks.pop() if ranks else 0
 
     def find_layer(self, name: str) -> Linear:
         if name not in self.layers:
@@ -242,14 +248,13 @@ def _bound(arr: np.ndarray, trainable: dict[int, ad.Var] | None) -> ad.Var:
 
 
 def w_eff(layer: Linear, trainable: dict[int, ad.Var] | None = None) -> ad.Var:
-    """W_eff = base + (alpha / r) * A @ B^T of `layer` as a tape expression,
-    each array read through `trainable`."""
+    """W_eff = base + A @ B^T of `layer` as a tape expression, each array
+    read through `trainable`."""
     base = _bound(layer.base_weight(), trainable)
     lora = layer.lora
     if lora is None:
         return base
-    return ad.add(base, lora_delta(_bound(lora.a, trainable), _bound(lora.b, trainable),
-                                   lora.alpha))
+    return ad.add(base, lora_delta(_bound(lora.a, trainable), _bound(lora.b, trainable)))
 
 
 def linear_apply(layer: Linear, x: ad.Var,

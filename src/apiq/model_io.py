@@ -2,7 +2,10 @@
 
 A checkpoint holds "config", optional "quant.meta", then the model's
 tensors in the order of `TinyTransformer.named_tensors()`, the one place
-that defines their names and order. A quantized layer contributes
+that defines their names and order. "quant.meta", written when a layer is
+quantized, holds the model's `quant` (bits, group, clip granularity index)
+and the rank its adapters share (-1 with none): W_eff = base + A @ B^T has
+no adapter scaling to store. A quantized layer contributes
 "<layer>.qcodes" / ".scale" / ".zero" (plus ".gamma" / ".beta" when its
 clipping was learned) instead of "<layer>.weight"; an attached adapter
 adds ".lora_a" / ".lora_b". `model_entries` is the one statement of this
@@ -43,18 +46,11 @@ def model_entries(model: TinyTransformer) -> list[Entry]:
     entries: list[Entry] = [("config", np.array(dataclasses.astuple(model.config),
                                                 dtype=np.float64))]
 
-    quantized = [lay for lay in model.iter_layers() if lay.qstate is not None]
-    if quantized:
-        spec = quantized[0].qstate.spec
-        if any(lay.qstate.spec != spec for lay in quantized):
-            raise ValueError("mixed quantization specs are not persistable")
-        alphas = {lay.lora.alpha for lay in quantized if lay.lora is not None}
-        if len(alphas) > 1:
-            raise ValueError("mixed adapter alphas are not persistable")
-        alpha = alphas.pop() if alphas else -1.0
+    if any(lay.qstate is not None for lay in model.iter_layers()):
+        spec = model.quant
         gran = GRANULARITIES.index(spec.clip_granularity)
         entries.append(("quant.meta", np.array(
-            [spec.bits, spec.group, gran, alpha], dtype=np.float64)))
+            [spec.bits, spec.group, gran, model.adapter_rank() or -1], dtype=np.float64)))
 
     for name, owner, attr in model.named_tensors():
         if isinstance(owner, Linear):
@@ -99,15 +95,13 @@ def load_model(path) -> TinyTransformer:
     m = _header(tensors, "quant.meta", 4) if "quant.meta" in tensors else None
     values = {f.name: _integral("header", f.name, v) if isinstance(f.default, int) else v
               for f, v in zip(fields, c.tolist())}
-    spec, alpha = None, -1.0
+    spec = None
     try:
         cfg = ModelConfig(**values)
         if m is not None:
-            bits, group, gran, alpha = m.tolist()
+            bits, group, gran, _ = m.tolist()  # the walk checks the adapter rank
             if gran not in (0.0, 1.0):
                 raise FormatError(f"quant.meta granularity flag {gran!r} is not 0 or 1")
-            if not (alpha == -1.0 or alpha > 0):
-                raise FormatError(f"quant.meta alpha {alpha!r} is neither -1 nor > 0")
             spec = QuantSpec(bits=_integral("quant.meta", "bits", bits),
                              group=_integral("quant.meta", "group", group),
                              clip_granularity=GRANULARITIES[int(gran)])
@@ -116,8 +110,9 @@ def load_model(path) -> TinyTransformer:
 
     _check_sizes(tensors, cfg)
     model = TinyTransformer(cfg)
+    model.quant = spec
     for layer in model.iter_layers():
-        _init_layer(layer, tensors, spec, alpha)
+        _init_layer(layer, tensors, spec)
     try:
         expected = model_entries(model)
     except ValueError as exc:
@@ -135,9 +130,9 @@ def load_model(path) -> TinyTransformer:
         if not (np.isfinite(s) & (s >= SCALE_FLOOR)).all():
             raise FormatError(f"tensor '{n}.scale' holds a value below {SCALE_FLOOR} "
                               f"or not finite")
-        if not ((z == np.rint(z)) & (z >= 0) & (z <= qs.spec.qmax)).all():
+        if not ((z == np.rint(z)) & (z >= 0) & (z <= spec.qmax)).all():
             raise FormatError(f"tensor '{n}.zero' holds a value that is not an "
-                              f"integer in [0, {qs.spec.qmax}]")
+                              f"integer in [0, {spec.qmax}]")
     return model
 
 
@@ -186,8 +181,7 @@ def _check_sizes(tensors: dict, cfg: ModelConfig) -> None:
             raise FormatError(f"header {sizes} does not match the stored {name!r}")
 
 
-def _init_layer(layer: Linear, tensors: dict, spec: QuantSpec | None,
-                alpha: float) -> None:
+def _init_layer(layer: Linear, tensors: dict, spec: QuantSpec | None) -> None:
     """Give `layer` the zero-filled state that its stored names describe."""
     n, d1, d2 = layer.name, layer.d1, layer.d2
     if spec is not None and f"{n}.qcodes" in tensors:
@@ -199,14 +193,12 @@ def _init_layer(layer: Linear, tensors: dict, spec: QuantSpec | None,
             codes=PackedCodes(data=b"", shape=(d1, d2), bits=spec.bits),
             params=GroupParams(scale=np.zeros(groups, np.float32),
                                zero=np.zeros(groups, np.float32)),
-            clip=ClipParams.init(spec, d1, d2) if f"{n}.gamma" in tensors else None,
-            spec=spec)
+            clip=ClipParams.init(spec, d1, d2) if f"{n}.gamma" in tensors else None)
+    # the one value read: the rank of a (d1, r) float lora_a, bounded by the
+    # file's size; with any other, rank 0 included, the layer gets no adapter
+    # and the walk fails at the stored one
     a = tensors.get(f"{n}.lora_a")
-    if a is not None:
-        # the one value read: the rank of a (d1, r) float array, bounded by
-        # the file's size; any other lora_a, rank 0 included, fails the walk
-        shape = a.shape if isinstance(a, np.ndarray) else ()
-        rank = shape[1] if len(shape) == 2 and shape[0] == d1 and shape[1] else 1
-        layer.lora = LoraPair(a=np.zeros((d1, rank), np.float32),
-                              b=np.zeros((d2, rank), np.float32),
-                              alpha=alpha if alpha > 0 else rank)
+    shape = a.shape if isinstance(a, np.ndarray) else ()
+    if len(shape) == 2 and shape[0] == d1 and shape[1]:
+        layer.lora = LoraPair(a=np.zeros((d1, shape[1]), np.float32),
+                              b=np.zeros((d2, shape[1]), np.float32))

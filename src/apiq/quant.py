@@ -34,12 +34,13 @@ from .linalg import group_minmax
 
 SCALE_FLOOR = 1e-8
 BITS = (2, 3, 4, 8)
-# a checkpoint stores the granularity as its index here (quant.meta)
-GRANULARITIES = ("per-matrix", "per-group")
+GRANULARITIES = ("per-matrix", "per-group")  # stored as the index (quant.meta)
 
 
 @dataclass(frozen=True)
 class QuantSpec:
+    """How a model is quantized, held once as `TinyTransformer.quant`."""
+
     bits: int = field(default=2, metadata={"choices": BITS})
     group: int = field(default=64, metadata={"lo": 1})
     clip_granularity: str = field(default="per-matrix",

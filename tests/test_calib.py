@@ -274,7 +274,7 @@ class TestGramStep:
         gamma = ad.Var(np.float32(4.0) + (r.randn(()) * 0.5).astype(np.float32))
         q = ste_fake_quant(w, gamma, gamma, spec, mins, maxs).value
         a, b = ((r.randn((d, 4)) * 0.05).astype(np.float32) for d in (64, 48))
-        w_eff = q + lora_delta(ad.Var(a), ad.Var(b), 4.0).value
+        w_eff = q + lora_delta(ad.Var(a), ad.Var(b)).value
         grads = []
         for loss_fn in (lambda wv: ad.gram_mse(wv, *_second_moments(x_q, x @ w)),
                         lambda wv: ad.mse(ad.matmul(x_q, wv), x @ w)):
@@ -562,6 +562,21 @@ class TestQuantizeModel:
         prof_rtn = activation_error_profile(model, rtn, calib.tokens)
         for a, b in zip(prof_lw.records, prof_rtn.records):
             assert a.value <= b.value
+
+    @pytest.mark.parametrize("rank", [0, 3])
+    @pytest.mark.parametrize("method", ["rtn", "qlora", "loftq", "apiq-lw", "apiq-bw"])
+    def test_quant_meta_holds_spec_and_shared_rank(self, toy_setup, method, rank):
+        from apiq.model_io import model_entries
+        model, calib = toy_setup
+        spec = QuantSpec(bits=2, group=16)
+        qm, _ = quantize_model(model, calib, CalibPlan(method=method, epochs=1, seed=1),
+                               spec, rank=rank)
+        assert qm.quant == spec and model.quant is None
+        shared = 0 if method == "rtn" else rank
+        assert {0 if lay.lora is None else lay.lora.a.shape[1]
+                for lay in qm.iter_layers()} == {shared}
+        meta = dict(model_entries(qm))["quant.meta"]
+        assert meta.tolist() == [2.0, 16.0, 0.0, float(shared or -1)]
 
     def test_already_quantized_rejected(self, toy_setup):
         model, calib = toy_setup

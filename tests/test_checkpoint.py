@@ -17,18 +17,18 @@ def _quantized_model(bits=2):
     m = TinyTransformer.init(CFG, seed=3)
     spec = QuantSpec(bits=bits, group=8)
     rng = RngState(5)
+    m.quant = spec
     for lay in m.iter_layers():
         mins, maxs = group_minmax(lay.weight, spec.group)
         clip = ClipParams.init(spec, lay.d1, lay.d2)
         params = clip_to_params(mins, maxs, clip, spec)
         codes = quantize(lay.weight, params, spec)
-        lay.qstate = QuantState(codes=pack(codes, spec), params=params,
-                                clip=clip, spec=spec)
+        lay.qstate = QuantState(codes=pack(codes, spec), params=params, clip=clip)
         lay.weight = None
         from apiq.model import LoraPair
         a = (rng.randn((lay.d1, 2)) * 0.02).astype(np.float32)
         b = (rng.randn((lay.d2, 2)) * 0.02).astype(np.float32)
-        lay.lora = LoraPair(a=a, b=b, alpha=2.0)
+        lay.lora = LoraPair(a=a, b=b)
     return m
 
 

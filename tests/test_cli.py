@@ -70,6 +70,16 @@ def quantized(ws, pretrained):
 
 
 @pytest.fixture(scope="module")
+def rank8_quantized(ws, pretrained):
+    """A 2-bit qlora checkpoint with rank-8 adapters."""
+    out = ws / "q2r8.ckpt"
+    assert main(["quantize", "--config", str(ws / "run.cfg"), "--in", str(pretrained),
+                 "--method", "qlora", "--bits", "2", "--rank", "8",
+                 "--corpus", str(ws / "corpus.txt"), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
 def rtn_quantized(ws, pretrained):
     """A 2-bit rtn checkpoint: codes with no adapters."""
     out = ws / "rtn2.ckpt"
@@ -392,6 +402,21 @@ class TestEval:
         assert main(["eval", "--in", str(ws / "nope.ckpt"),
                      "--hist", "blocks.1.mlp.down", "--bins", "1"]) == 2
         assert "--bins" in capsys.readouterr().err
+
+    # no more bins than the --hist layer's d1 * d2 = 32 * 32 weights, checked
+    # before any computation (2**62 bins ended in numpy's "array is too big")
+    @pytest.mark.parametrize("bins,code", [(32 * 32, 0), (32 * 32 + 1, 2), (2 ** 62, 2)])
+    def test_bins_bounded_by_layer_size(self, ws, quantized, capsys, tmp_path, bins,
+                                        code):
+        prefix = tmp_path / "bins"
+        assert main(["eval", "--config", str(ws / "run.cfg"), "--in", str(quantized),
+                     "--corpus", str(ws / "corpus.txt"), "--hist", "blocks.0.attn.q",
+                     "--bins", str(bins), "--report-prefix", str(prefix)]) == code
+        out, err = capsys.readouterr()
+        assert (prefix.parent / "bins.hist.tsv").exists() == (code == 0)
+        if code:
+            assert f"--bins must be >= 2 and <= 1024, got {bins}" in err
+            assert out == ""
 
     def test_directory_input_exit_3(self, ws, capsys):
         assert main(["eval", "--in", str(ws), "--corpus", str(ws / "corpus.txt")]) == 3
@@ -914,19 +939,22 @@ class TestCorruptCheckpoints:
                      "--corpus", str(ws / "corpus.txt")]) == 3
         assert f"tensor '{name}' holds a value" in capsys.readouterr().err
 
-    # quant.meta = [bits, group, granularity flag, adapter alpha]
+    # quant.meta = [bits, group, granularity flag, shared adapter rank]; the
+    # header decode names the first three, and the load walk a rank other
+    # than the adapters' (4)
     @pytest.mark.parametrize("index,value,named", [(0, 2.5, "bits 2.5"),
                                                    (1, 16.5, "group 16.5"),
                                                    (2, 0.5, "granularity flag 0.5"),
-                                                   (3, -5.0, "alpha -5.0"),
-                                                   (3, 0.0, "alpha 0.0")])
+                                                   (3, -5.0, "rank -5.0"),
+                                                   (3, 0.0, "rank 0.0")])
     def test_quant_meta_value_invalid_exit_3(self, ws, quantized, capsys, index, value,
                                              named):
         bad = _tampered(quantized, ws / "meta.ckpt", "quant.meta",
                         lambda t: t.__setitem__(index, value))
         assert main(["eval", "--in", str(bad),
                      "--corpus", str(ws / "corpus.txt")]) == 3
-        assert f"quant.meta {named}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert ("tensor 1 is 'quant.meta'" if index == 3 else f"quant.meta {named}") in err
 
     @pytest.mark.parametrize("config", [np.array([256.0, 32.0, 4.0]),
                                         np.full(7, np.nan)])
@@ -980,19 +1008,17 @@ class TestCorruptCheckpoints:
                      "--corpus", str(ws / "corpus.txt")]) == 3
         assert named in capsys.readouterr().err
 
-    def test_mixed_adapter_alphas_exit_3(self, ws, quantized, capsys):
-        # with a quant.meta alpha of -1 each adapter's alpha is its rank;
-        # save_model writes no file with two alphas, so none loads
+    def test_mixed_adapter_ranks_exit_3(self, ws, quantized, capsys):
+        # quant.meta records one rank that every adapter shares; save_model
+        # writes no file with two ranks, so none loads
         def edit(n, t):
-            if n == "quant.meta":
-                return np.array([*t[:3], -1.0])
             return t[:, :2] if n.startswith("blocks.0.attn.q.lora_") else t
 
-        bad = ws / "alphas.ckpt"
+        bad = ws / "ranks.ckpt"
         save_tensors(bad, [(n, edit(n, t)) for n, t in load_tensors(quantized)])
         assert main(["eval", "--config", str(ws / "run.cfg"), "--in", str(bad),
                      "--corpus", str(ws / "corpus.txt")]) == 3
-        assert "mixed adapter alphas" in capsys.readouterr().err
+        assert "adapters of mixed ranks [2, 4]" in capsys.readouterr().err
 
     # kinds save_model never writes: a tensor or header in the other float
     # width (each loaded and evaluated with exit 0, and saved other bytes)
@@ -1013,12 +1039,13 @@ class TestCorruptCheckpoints:
                      "--corpus", str(ws / "corpus.txt")]) == 3
         assert f"'{name}'" in capsys.readouterr().err
 
-    # adapter alphas save_model never writes: one on a model with no
-    # adapters, and -1 (alpha = rank) on a model with adapters
-    @pytest.mark.parametrize("which,alpha", [("rtn_quantized", 5.0), ("quantized", -1.0)])
-    def test_alpha_save_would_not_write_exit_3(self, ws, request, capsys, which, alpha):
+    # quant.meta ranks save_model never writes: one on a model with no
+    # adapters, -1 (none) on a model with adapters, and 4 on rank-8 adapters
+    @pytest.mark.parametrize("which,rank", [("rtn_quantized", 5.0), ("quantized", -1.0),
+                                             ("rank8_quantized", 4.0)])
+    def test_alpha_save_would_not_write_exit_3(self, ws, request, capsys, which, rank):
         bad = _tampered(request.getfixturevalue(which), ws / "alpha.ckpt", "quant.meta",
-                        lambda t: t.__setitem__(3, alpha))
+                        lambda t: t.__setitem__(3, rank))
         assert main(["eval", "--config", str(ws / "run.cfg"), "--in", str(bad),
                      "--corpus", str(ws / "corpus.txt")]) == 3
         assert "'quant.meta'" in capsys.readouterr().err

@@ -257,6 +257,9 @@ class TestHistograms:
         assert text.startswith("config\tseed=3\ntensor\tbin_center\tcount\n")
 
     def test_bins_validation(self):
+        # at least two bins, and no more than the layer's 32 * 32 weights
         _, lay = self._quantized_layer()
-        with pytest.raises(ValueError):
-            histogram_export(lay, bins=1)
+        for bins in (1, 32 * 32 + 1, 2 ** 62):
+            with pytest.raises(ValueError, match="bins must be >= 2 and <= 1024"):
+                histogram_export(lay, bins=bins)
+        assert histogram_export(lay, bins=32 * 32)["Q"][1].sum() == 32 * 32

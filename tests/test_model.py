@@ -5,7 +5,8 @@ from apiq import autodiff as ad
 from apiq.errors import InputError
 from apiq.linalg import group_minmax
 from apiq.model import (Linear, LoraPair, ModelConfig, QuantState,
-                        TinyTransformer, forward_block, linear_apply, rope_tables)
+                        TinyTransformer, forward_block, linear_apply, lora_delta,
+                        rope_tables)
 from apiq.quant import QuantSpec, clip_to_params, pack, quantize
 from apiq.rng import RngState
 
@@ -34,8 +35,7 @@ def _quantize_layer_rtn(layer, spec):
     mins, maxs = group_minmax(layer.weight, spec.group)
     params = clip_to_params(mins, maxs, None, spec)
     codes = quantize(layer.weight, params, spec)
-    layer.qstate = QuantState(codes=pack(codes, spec), params=params,
-                              clip=None, spec=spec)
+    layer.qstate = QuantState(codes=pack(codes, spec), params=params, clip=None)
     layer.weight = None
 
 
@@ -162,15 +162,39 @@ class TestForwardBlock:
         assert rep.max_rel_err <= 1e-4
 
 
+def _scaled_delta(a, b):
+    """The adapter term as written when every adapter was built with
+    alpha = rank: (alpha / r) * A @ B^T, a scale by exactly 1.0."""
+    r = a.shape[1]
+    return ad.scale(ad.matmul(a, ad.swap_last(b)), float(r) / r)
+
+
 class TestLora:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rank", range(1, 9))
+    def test_delta_bitwise_equals_scaled_reference(self, rank, dtype):
+        # A @ B^T has the forward bytes and the A and B gradient bytes of
+        # the scaled term it replaced
+        r = RngState(40 + rank)
+        a0, b0 = (r.randn((d, rank)).astype(dtype) for d in (24, 16))
+        target = r.randn((24, 16)).astype(dtype)
+        results = []
+        for delta in (lora_delta, _scaled_delta):
+            a, b = ad.param(a0.copy()), ad.param(b0.copy())
+            with ad.Tape() as tape:
+                out = delta(a, b)
+                loss = ad.mse(out, target)
+            ad.backward(tape, loss)
+            results.append([v.tobytes() for v in (out.value, a.grad, b.grad)])
+        assert results[0] == results[1]
+
     def test_adapter_equals_dense_merge(self):
         import copy
         m = TinyTransformer.init(CFG, seed=16)
         lay = m.blocks[0].layers["q"]
         r = RngState(17)
         lora = LoraPair(a=(r.randn((lay.d1, 4)) * 0.1).astype(np.float32),
-                        b=(r.randn((lay.d2, 4)) * 0.1).astype(np.float32),
-                        alpha=4.0)
+                        b=(r.randn((lay.d2, 4)) * 0.1).astype(np.float32))
         with_adapter = copy.deepcopy(m)
         with_adapter.blocks[0].layers["q"].lora = lora
         merged = copy.deepcopy(m)
