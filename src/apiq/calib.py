@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -216,23 +216,21 @@ class _TrainableQuant:
     layer: Linear
     mins: np.ndarray
     maxs: np.ndarray
-    gamma: np.ndarray
-    beta: np.ndarray
+    clip: ClipParams
 
     @classmethod
-    def create(cls, layer: Linear, spec: QuantSpec, rank: int,
-               stream: RngState, clip_init: float) -> "_TrainableQuant":
-        """Clip logits for `layer`, and its default adapter attached."""
+    def create(cls, layer: Linear, spec: QuantSpec, stream: RngState,
+               clip_init: float) -> "_TrainableQuant":
+        """Clip logits for `layer`, and its default adapter of `spec.rank` attached."""
         mins, maxs = group_minmax(layer.weight, spec.group)
-        clip = ClipParams.init(spec, layer.d1, layer.d2, value=clip_init)
-        layer.lora = _lora_default(layer.d1, layer.d2, rank, stream)
-        return cls(layer=layer, mins=mins, maxs=maxs, gamma=clip.gamma, beta=clip.beta)
+        layer.lora = _lora_default(layer.d1, layer.d2, spec.rank, stream)
+        return cls(layer=layer, mins=mins, maxs=maxs,
+                   clip=ClipParams.init(spec, layer.d1, layer.d2, value=clip_init))
 
     def freeze(self, spec: QuantSpec) -> None:
-        clip = ClipParams(gamma=self.gamma, beta=self.beta)
-        params = clip_to_params(self.mins, self.maxs, clip, spec)
+        params = clip_to_params(self.mins, self.maxs, self.clip, spec)
         codes = quantize(self.layer.weight, params, spec)
-        _freeze(self.layer, codes, params, clip, spec, self.layer.lora)
+        _freeze(self.layer, codes, params, self.clip, spec, self.layer.lora)
 
 
 def _batches(n: int, size: int) -> list[slice]:
@@ -273,7 +271,7 @@ def _calibrate(states: list[_TrainableQuant], step_loss, set_loss, n_batches: in
     """
     adapters = [st.layer.lora for st in states if st.layer.lora is not None]
     lora = [p for pair in adapters for p in (pair.a, pair.b)]
-    theta = [p for st in states for p in (st.gamma, st.beta)]
+    theta = [p for st in states for p in (st.clip.gamma, st.clip.beta)]
     opt = AdamW([(ps, lr, plan.weight_decay)
                  for ps, lr in ((lora, plan.lr_lora), (theta, plan.lr_theta)) if ps])
     params = lora + theta
@@ -281,8 +279,8 @@ def _calibrate(states: list[_TrainableQuant], step_loss, set_loss, n_batches: in
     def bind(bound: dict[int, ad.Var]) -> dict[int, ad.Var]:
         for st in states:
             bound[id(st.layer.weight)] = ste_fake_quant(
-                st.layer.weight, _bound(st.gamma, bound), _bound(st.beta, bound), spec,
-                st.mins, st.maxs)
+                st.layer.weight, _bound(st.clip.gamma, bound), _bound(st.clip.beta, bound),
+                spec, st.mins, st.maxs)
         return bound
 
     def full_loss(epoch: int) -> float:
@@ -318,7 +316,7 @@ def _second_moments(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def apiq_lw_layer(layer: Linear, y_full: np.ndarray, x_q: np.ndarray,
-                  plan: CalibPlan, spec: QuantSpec, rank: int,
+                  plan: CalibPlan, spec: QuantSpec,
                   stream: RngState) -> tuple[np.ndarray, list[CalibLogRow]]:
     """Calibrate one linear layer in place against its full-precision
     output Y = X W; returns (Y^q, log rows).
@@ -329,7 +327,7 @@ def apiq_lw_layer(layer: Linear, y_full: np.ndarray, x_q: np.ndarray,
     with the retained parameters, i.e. exactly what the frozen layer will
     produce at inference.
     """
-    state = _TrainableQuant.create(layer, spec, rank, stream, plan.clip_init)
+    state = _TrainableQuant.create(layer, spec, stream, plan.clip_init)
     batches = _batches(len(x_q), plan.batch)
     moments = [_second_moments(x_q[b], y_full[b]) for b in batches]
     rows = _calibrate(
@@ -341,13 +339,13 @@ def apiq_lw_layer(layer: Linear, y_full: np.ndarray, x_q: np.ndarray,
 
 
 def apiq_bw_block(block: Block, x_full: np.ndarray, x_q: np.ndarray,
-                  plan: CalibPlan, spec: QuantSpec, rank: int, stream: RngState,
+                  plan: CalibPlan, spec: QuantSpec, stream: RngState,
                   cfg: ModelConfig, unit: str) -> tuple[np.ndarray, np.ndarray, list[CalibLogRow]]:
     """Calibrate all seven projections of one block jointly, in place;
     returns (Y, Y^q, log rows), the block's full-precision output and its
     frozen output on X^q."""
     y_full = forward_block(block, ad.Var(x_full), cfg).value
-    states = [_TrainableQuant.create(lay, spec, rank, stream.derive(j), plan.clip_init)
+    states = [_TrainableQuant.create(lay, spec, stream.derive(j), plan.clip_init)
               for j, lay in enumerate(block.layers.values())]
     batches = _batches(len(x_q), plan.batch)
 
@@ -366,8 +364,9 @@ def apiq_bw_block(block: Block, x_full: np.ndarray, x_q: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def quantize_model(model: TinyTransformer, calib: CalibSet, plan: CalibPlan,
-                   spec: QuantSpec, rank: int) -> tuple[TinyTransformer, list[CalibLogRow]]:
-    """Quantize a full-precision model with the plan's method.
+                   spec: QuantSpec) -> tuple[TinyTransformer, list[CalibLogRow]]:
+    """Quantize a full-precision model with the plan's method, with adapters
+    of `spec.rank` (`rtn` attaches none, and its copy's `quant` has rank 0).
 
     The input model is left untouched; a quantized copy is returned along
     with the per-layer (or per-block) calibration log.
@@ -377,16 +376,13 @@ def quantize_model(model: TinyTransformer, calib: CalibSet, plan: CalibPlan,
             raise ConfigError("model is already quantized")
         if not np.isfinite(lay.weight).all():
             raise NumericError(f"non-finite weight in layer {lay.name}")
-        if lay.d1 % spec.group != 0:
-            raise ConfigError(
-                f"group size {spec.group} does not divide layer {lay.name} input dim")
-        if rank > min(lay.d1, lay.d2):
-            raise ConfigError(
-                f"rank {rank} exceeds min dim of layer {lay.name}")
+        spec.check_fits(lay.name, lay.d1, lay.d2)
     for name, owner, attr in model.named_tensors():
         if not isinstance(owner, Linear) and not np.isfinite(getattr(owner, attr)).all():
             raise NumericError(f"non-finite tensor {name}")
 
+    if plan.method == "rtn":
+        spec = replace(spec, rank=0)
     student = copy.deepcopy(model)
     student.quant = spec
     rng = RngState(plan.seed)
@@ -394,11 +390,11 @@ def quantize_model(model: TinyTransformer, calib: CalibSet, plan: CalibPlan,
 
     if plan.method in ("rtn", "qlora", "loftq"):
         # rtn and qlora: LoftQ's first step, then qlora's default adapter
-        loftq_rank = rank if plan.method == "loftq" else 0
+        loftq_rank = spec.rank if plan.method == "loftq" else 0
         for idx, lay in enumerate(student.iter_layers()):
             loftq_init(lay, spec, loftq_rank, plan.loftq_iters)
             if plan.method == "qlora":
-                lay.lora = _lora_default(lay.d1, lay.d2, rank, rng.derive(idx))
+                lay.lora = _lora_default(lay.d1, lay.d2, spec.rank, rng.derive(idx))
         return student, rows
 
     # X and X^q walk the blocks together; each block is still full
@@ -416,7 +412,7 @@ def quantize_model(model: TinyTransformer, calib: CalibSet, plan: CalibPlan,
 
         def calibrate(layer: Linear, xv: ad.Var) -> ad.Var:
             y_q, lrows = apiq_lw_layer(
-                layer, y_out.pop(layer.name), xv.value, plan, spec, rank,
+                layer, y_out.pop(layer.name), xv.value, plan, spec,
                 rng.derive(stream_index[layer.name]))
             rows.extend(lrows)
             return ad.Var(y_q)
@@ -429,7 +425,7 @@ def quantize_model(model: TinyTransformer, calib: CalibSet, plan: CalibPlan,
     # apiq-bw, the one method left of `METHODS`
     for i, block in enumerate(student.blocks):
         x_full, x_q, brows = apiq_bw_block(
-            block, x_full, x_q, plan, spec, rank, rng.derive(100 + i), cfg,
+            block, x_full, x_q, plan, spec, rng.derive(100 + i), cfg,
             unit=block.name)
         rows.extend(brows)
     return student, rows

@@ -128,12 +128,10 @@ def _config(args) -> dict:
 
 def _as_read(cfg: dict, model: TinyTransformer) -> dict:
     """`cfg` with the `model.*` values of the checkpoint `model` was loaded
-    from and, if it is quantized, the `quant.*` values of its `quant.meta`:
-    its spec and the rank its adapters share (0 with none) as `quant.rank`."""
+    from and, if it is quantized, the `quant.*` values of its `quant.meta`."""
     cfg = {**cfg, **{f"model.{k}": v for k, v in dataclasses.asdict(model.config).items()}}
     if model.quant is not None:
         cfg.update({f"quant.{k}": v for k, v in dataclasses.asdict(model.quant).items()})
-        cfg["quant.rank"] = model.adapter_rank()
     return cfg
 
 
@@ -179,7 +177,7 @@ def cmd_quantize(args, cfg: dict) -> int:
     cfg = _as_read(cfg, model)
     _check_lengths(cfg, "calib.seq_len")
     calib = _calib_set(plan, _corpus_tokens(args.corpus))
-    qmodel, rows = quantize_model(model, calib, plan, spec, rank=cfg["quant.rank"])
+    qmodel, rows = quantize_model(model, calib, plan, spec)
     _save(files, qmodel, ["layer", "epoch", "loss"],
           [(r.unit, r.epoch, r.loss) for r in rows], cfg)
     return EXIT_OK

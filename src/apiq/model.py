@@ -34,6 +34,8 @@ length and cached, so `max_seq` is a limit and not an allocation.
 `TinyTransformer` is the one place that defines tensor names and their
 order: `layers` maps each projection name to its Linear, and
 `named_tensors()` lists every full-precision tensor in checkpoint order.
+Its `quant` is the one record of how it is quantized: the code grid, and
+the rank of the adapter that each quantized layer carries.
 """
 
 from __future__ import annotations
@@ -157,7 +159,7 @@ class TinyTransformer:
                 norm2=np.ones(config.d_model, dtype=dtype),
                 layers=layers))
         self.final_norm = np.ones(config.d_model, dtype=dtype)
-        self.quant: QuantSpec | None = None  # the one spec of quantized layers
+        self.quant: QuantSpec | None = None  # quantized layers' spec and adapter rank
         # name -> Linear for every projection, in dataflow order
         self.layers = {lay.name: lay for block in self.blocks
                        for lay in block.layers.values()}
@@ -176,13 +178,6 @@ class TinyTransformer:
 
     def iter_layers(self):
         return iter(self.layers.values())
-
-    def adapter_rank(self) -> int:
-        """The rank all adapters share, 0 with none; a checkpoint records one."""
-        ranks = {lay.lora.a.shape[1] for lay in self.iter_layers() if lay.lora is not None}
-        if len(ranks) > 1:
-            raise ValueError(f"adapters of mixed ranks {sorted(ranks)} are not persistable")
-        return ranks.pop() if ranks else 0
 
     def find_layer(self, name: str) -> Linear:
         if name not in self.layers:

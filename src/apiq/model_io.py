@@ -3,13 +3,14 @@
 A checkpoint holds "config", optional "quant.meta", then the model's
 tensors in the order of `TinyTransformer.named_tensors()`, the one place
 that defines their names and order. "quant.meta", written when a layer is
-quantized, holds the model's `quant` (bits, group, clip granularity index)
-and the rank its adapters share (-1 with none): W_eff = base + A @ B^T has
-no adapter scaling to store. A quantized layer contributes
-"<layer>.qcodes" / ".scale" / ".zero" (plus ".gamma" / ".beta" when its
-clipping was learned) instead of "<layer>.weight"; an attached adapter
-adds ".lora_a" / ".lora_b". `model_entries` is the one statement of this
-layout.
+quantized, holds the model's `quant`: bits, group, clip granularity index
+and adapter rank (-1 for rank 0); W_eff = base + A @ B^T has no adapter
+scaling to store. A quantized layer contributes "<layer>.qcodes" /
+".scale" / ".zero" (plus ".gamma" / ".beta" when its clipping was
+learned) instead of "<layer>.weight", then, at a rank above 0, its
+adapter's ".lora_a" / ".lora_b"; no other layer has an adapter.
+`model_entries` is the one statement of this layout, and refuses a model
+that breaks it.
 
 One rule: `load_model` accepts exactly the files `save_model` writes. It
 builds the model the headers and stored names describe, zero-filled, then
@@ -18,7 +19,8 @@ name, kind (dtype, or bit width of packed codes), shape or header value
 differs fails the load (`FormatError`), so a loaded model saves the same
 bytes. First `_check_sizes` checks the header sizes against the stored
 block names and the extents of the embedding and each block's q and gate,
-so the model allocated is bounded by a multiple of the file's size.
+and `QuantSpec.check_fits` the group and rank against each quantized
+layer, so the model allocated is bounded by a multiple of the file's size.
 
 Non-finite values: the headers must be finite, and so must a layer's
 "scale" and "zero", which must also be values `quantize` writes (a scale
@@ -43,14 +45,20 @@ from .quant import (GRANULARITIES, SCALE_FLOOR, ClipParams, GroupParams, PackedC
 
 
 def model_entries(model: TinyTransformer) -> list[Entry]:
+    spec = model.quant
+    for lay in model.iter_layers():
+        held = None if lay.lora is None else lay.lora.a.shape[1]
+        given = (spec.rank if lay.qstate is not None else 0) or None
+        if held != given:
+            raise ValueError(f"layer {lay.name} has adapter rank {held}, where the "
+                             f"model's quant gives it {given}")
     entries: list[Entry] = [("config", np.array(dataclasses.astuple(model.config),
                                                 dtype=np.float64))]
 
     if any(lay.qstate is not None for lay in model.iter_layers()):
-        spec = model.quant
         gran = GRANULARITIES.index(spec.clip_granularity)
         entries.append(("quant.meta", np.array(
-            [spec.bits, spec.group, gran, model.adapter_rank() or -1], dtype=np.float64)))
+            [spec.bits, spec.group, gran, spec.rank or -1], dtype=np.float64)))
 
     for name, owner, attr in model.named_tensors():
         if isinstance(owner, Linear):
@@ -99,28 +107,27 @@ def load_model(path) -> TinyTransformer:
     try:
         cfg = ModelConfig(**values)
         if m is not None:
-            bits, group, gran, _ = m.tolist()  # the walk checks the adapter rank
+            bits, group, gran, rank = m.tolist()
             if gran not in (0.0, 1.0):
                 raise FormatError(f"quant.meta granularity flag {gran!r} is not 0 or 1")
+            # -1 is rank 0; the walk rejects any rank save_model would not write
             spec = QuantSpec(bits=_integral("quant.meta", "bits", bits),
                              group=_integral("quant.meta", "group", group),
-                             clip_granularity=GRANULARITIES[int(gran)])
+                             clip_granularity=GRANULARITIES[int(gran)],
+                             rank=max(int(rank), 0))
+        _check_sizes(tensors, cfg)
+        model = TinyTransformer(cfg)
+        model.quant = spec
+        for layer in model.iter_layers():
+            _init_layer(layer, tensors, spec)
     except ConfigError as exc:
         raise FormatError(f"checkpoint header is invalid: {exc}") from exc
 
-    _check_sizes(tensors, cfg)
-    model = TinyTransformer(cfg)
-    model.quant = spec
-    for layer in model.iter_layers():
-        _init_layer(layer, tensors, spec)
-    try:
-        expected = model_entries(model)
-    except ValueError as exc:
-        raise FormatError(f"checkpoint cannot be saved again: {exc}") from exc
-    for i, (got, want) in enumerate(itertools.zip_longest(stored, expected)):
+    given = "" if m is None else f", given 'quant.meta' {m.tolist()}"
+    for i, (got, want) in enumerate(itertools.zip_longest(stored, model_entries(model))):
         if _signature(got) != _signature(want):
             raise FormatError(f"tensor {i} is {_signature(got)}, where save_model "
-                              f"writes {_signature(want)}")
+                              f"writes {_signature(want)}{given}")
         if isinstance(want[1], PackedCodes):
             want[1].data = got[1].data
         else:  # same dtype and shape, so nothing is cast or broadcast
@@ -182,23 +189,21 @@ def _check_sizes(tensors: dict, cfg: ModelConfig) -> None:
 
 
 def _init_layer(layer: Linear, tensors: dict, spec: QuantSpec | None) -> None:
-    """Give `layer` the zero-filled state that its stored names describe."""
+    """Give `layer` the zero-filled state its stored names and `spec`
+    describe: with its codes stored, it is quantized under `spec`, which
+    must fit it, with clip logits if its gamma is stored and an adapter of
+    `spec.rank` (none at rank 0)."""
     n, d1, d2 = layer.name, layer.d1, layer.d2
-    if spec is not None and f"{n}.qcodes" in tensors:
-        if d1 % spec.group:
-            raise FormatError(f"group size {spec.group} does not divide {n!r} rows {d1}")
-        groups = (d1 // spec.group, d2)
-        layer.weight = None
-        layer.qstate = QuantState(
-            codes=PackedCodes(data=b"", shape=(d1, d2), bits=spec.bits),
-            params=GroupParams(scale=np.zeros(groups, np.float32),
-                               zero=np.zeros(groups, np.float32)),
-            clip=ClipParams.init(spec, d1, d2) if f"{n}.gamma" in tensors else None)
-    # the one value read: the rank of a (d1, r) float lora_a, bounded by the
-    # file's size; with any other, rank 0 included, the layer gets no adapter
-    # and the walk fails at the stored one
-    a = tensors.get(f"{n}.lora_a")
-    shape = a.shape if isinstance(a, np.ndarray) else ()
-    if len(shape) == 2 and shape[0] == d1 and shape[1]:
-        layer.lora = LoraPair(a=np.zeros((d1, shape[1]), np.float32),
-                              b=np.zeros((d2, shape[1]), np.float32))
+    if spec is None or f"{n}.qcodes" not in tensors:
+        return
+    spec.check_fits(n, d1, d2)
+    groups = (d1 // spec.group, d2)
+    layer.weight = None
+    layer.qstate = QuantState(
+        codes=PackedCodes(data=b"", shape=(d1, d2), bits=spec.bits),
+        params=GroupParams(scale=np.zeros(groups, np.float32),
+                           zero=np.zeros(groups, np.float32)),
+        clip=ClipParams.init(spec, d1, d2) if f"{n}.gamma" in tensors else None)
+    if spec.rank:
+        layer.lora = LoraPair(a=np.zeros((d1, spec.rank), np.float32),
+                              b=np.zeros((d2, spec.rank), np.float32))

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import FormatError, check_fields
+from .errors import ConfigError, FormatError, check_fields
 from .linalg import group_minmax
 
 SCALE_FLOOR = 1e-8
@@ -39,12 +39,15 @@ GRANULARITIES = ("per-matrix", "per-group")  # stored as the index (quant.meta)
 
 @dataclass(frozen=True)
 class QuantSpec:
-    """How a model is quantized, held once as `TinyTransformer.quant`."""
+    """How a model is quantized, held once as `TinyTransformer.quant`: the
+    code grid and the rank of the adapter each quantized layer carries (0,
+    none)."""
 
     bits: int = field(default=2, metadata={"choices": BITS})
     group: int = field(default=64, metadata={"lo": 1})
     clip_granularity: str = field(default="per-matrix",
                                   metadata={"choices": GRANULARITIES})
+    rank: int = field(default=8, metadata={"lo": 0})
 
     def __post_init__(self):
         check_fields(self)
@@ -52,6 +55,16 @@ class QuantSpec:
     @property
     def qmax(self) -> int:
         return (1 << self.bits) - 1
+
+    def check_fits(self, name: str, d1: int, d2: int) -> None:
+        """Raise ConfigError unless the spec fits layer `name` of shape
+        (d1, d2): the group divides d1 and the rank is at most min(d1, d2)."""
+        if d1 % self.group:
+            raise ConfigError(f"group size {self.group} does not divide layer {name} "
+                              f"input dim {d1}")
+        if self.rank > min(d1, d2):
+            raise ConfigError(f"rank {self.rank} exceeds min dim {min(d1, d2)} "
+                              f"of layer {name}")
 
 
 @dataclass
@@ -211,15 +224,9 @@ def pack(codes: np.ndarray, spec: QuantSpec) -> PackedCodes:
         raise ValueError(f"codes out of range for {spec.bits}-bit grid")
     d1, d2 = codes.shape
     b = spec.bits
-    row_bytes = (d2 * b + 7) // 8
-    if codes.size == 0:
-        return PackedCodes(data=b"", shape=(d1, d2), bits=b)
-    u = codes.astype(np.uint8)
-    bits = (u[:, :, None] >> np.arange(b, dtype=np.uint8)) & 1
-    bits = bits.reshape(d1, d2 * b)
-    padded = np.zeros((d1, row_bytes * 8), dtype=np.uint8)
-    padded[:, : d2 * b] = bits
-    data = np.packbits(padded, axis=1, bitorder="little")
+    bits = np.unpackbits(codes.astype(np.uint8)[..., None], axis=-1, count=b,
+                         bitorder="little")
+    data = np.packbits(bits.reshape(d1, d2 * b), axis=1, bitorder="little")
     return PackedCodes(data=data.tobytes(), shape=(d1, d2), bits=b)
 
 
@@ -235,10 +242,6 @@ def unpack(packed: PackedCodes, spec: QuantSpec | None = None) -> np.ndarray:
         raise FormatError(
             f"packed data length {len(packed.data)} != expected {expected}",
             offset=min(len(packed.data), expected))
-    if expected == 0:
-        return np.zeros((d1, d2), dtype=np.uint8)
     arr = np.frombuffer(packed.data, dtype=np.uint8).reshape(d1, row_bytes)
-    bits = np.unpackbits(arr, axis=1, bitorder="little")[:, : d2 * b]
-    bits = bits.reshape(d1, d2, b)
-    weights = (np.uint16(1) << np.arange(b, dtype=np.uint16))
-    return (bits.astype(np.uint16) * weights).sum(axis=2).astype(np.uint8)
+    bits = np.unpackbits(arr, axis=1, count=d2 * b, bitorder="little")
+    return np.packbits(bits.reshape(d1, d2, b), axis=-1, bitorder="little")[..., 0]

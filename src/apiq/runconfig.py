@@ -24,7 +24,7 @@ from .quant import QuantSpec
 from .train import FinetunePlan, PretrainPlan
 
 
-# each key but the three of `SCHEMA`'s last rows names a field of the class
+# each key but the two of `SCHEMA`'s last rows names a field of the class
 # `section` builds from its prefix; a `seed` field is the shared `seed` key
 _CLASSES = (("model", ModelConfig), ("quant", QuantSpec), ("calib", CalibPlan),
             ("pretrain", PretrainPlan), ("finetune", FinetunePlan))
@@ -36,7 +36,6 @@ SCHEMA: dict[str, tuple[type, object, dict]] = {
     **{f"{prefix}.{f.name}": (type(f.default), f.default, f.metadata)
        for prefix, cls in _CLASSES for f in dataclasses.fields(cls) if f.name != "seed"},
     "seed": (int, 0, {"lo": 0}),
-    "quant.rank": (int, 8, {"lo": 0}),
     "eval.chunk_len": (int, 128, CHUNK_LEN),
 }
 

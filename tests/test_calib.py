@@ -111,9 +111,8 @@ class TestBaselineInits:
 
     def test_qlora_effective_weight_is_fake_quant(self, toy_setup):
         model, calib = toy_setup
-        spec = QuantSpec(bits=2, group=8)
-        qm, rows = quantize_model(model, calib, CalibPlan(method="qlora", seed=5),
-                                  spec, rank=4)
+        spec = QuantSpec(bits=2, group=8, rank=4)
+        qm, rows = quantize_model(model, calib, CalibPlan(method="qlora", seed=5), spec)
         assert rows == []
         for lay, ql in zip(model.iter_layers(), qm.iter_layers()):
             assert np.array_equal(ql.effective_weight(),
@@ -187,48 +186,46 @@ class TestApiqLwLayer:
     def test_one_by_one_converges(self):
         # run to convergence: the adapter must bridge an O(1) gap, so this
         # example gets a long schedule and no decay pulling it off target
-        spec = QuantSpec(bits=8, group=1)
+        spec = QuantSpec(bits=8, group=1, rank=1)
         lay = _linear("blocks.0.attn.q", [[1.0]])
         x = np.array([[[1.0]]], dtype=np.float32)
         plan = CalibPlan(method="apiq-lw", epochs=1500, batch=1, seed=0,
                          weight_decay=0.0, lr_lora=0.01)
         y = x @ lay.weight
-        yq, rows = apiq_lw_layer(lay, y, x, plan, spec, rank=1, stream=RngState(1))
+        yq, rows = apiq_lw_layer(lay, y, x, plan, spec, stream=RngState(1))
         assert min(r.loss for r in rows) < 1e-6
         assert float(((y - yq) ** 2).mean()) < 1e-6
 
     def test_zero_weights_loss_zero_effect_unchanged(self):
-        spec = QuantSpec(bits=2, group=4)
+        spec = QuantSpec(bits=2, group=4, rank=2)
         lay = _linear("blocks.0.attn.q", np.zeros((4, 3)))
         x = RngState(2).randn((2, 5, 4)).astype(np.float32)
         plan = CalibPlan(method="apiq-lw", epochs=3, batch=2, seed=0)
-        yq, rows = apiq_lw_layer(lay, x @ lay.weight, x, plan, spec, rank=2,
-                                 stream=RngState(3))
+        yq, rows = apiq_lw_layer(lay, x @ lay.weight, x, plan, spec, stream=RngState(3))
         assert rows[0].loss == 0.0
         assert np.all(yq == 0.0)
         assert np.array_equal(lay.effective_weight(), np.zeros((4, 3), np.float32))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_final_loss_at_most_initial(self, seed):
-        spec = QuantSpec(bits=2, group=16)
+        spec = QuantSpec(bits=2, group=16, rank=4)
         w = (RngState(seed).randn((16, 16)) * 0.1).astype(np.float32)
         lay = _linear("blocks.0.attn.q", w)
         x = RngState(100 + seed).randn((8, 4, 16)).astype(np.float32)
         plan = CalibPlan(method="apiq-lw", epochs=20, batch=4, seed=seed)
-        _, rows = apiq_lw_layer(lay, x @ w, x, plan, spec, rank=4,
-                                stream=RngState(200 + seed))
+        _, rows = apiq_lw_layer(lay, x @ w, x, plan, spec, stream=RngState(200 + seed))
         retained = min(r.loss for r in rows)
         assert retained <= rows[0].loss
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_loss_aborts_with_context(self):
-        spec = QuantSpec(bits=2, group=4)
+        spec = QuantSpec(bits=2, group=4, rank=2)
         lay = _linear("blocks.0.attn.q", (RngState(1).randn((4, 4)) * 1e18).astype(np.float32))
         x = (RngState(2).randn((2, 2, 4)) * 1e18).astype(np.float32)
         plan = CalibPlan(method="apiq-lw", epochs=3, batch=1, seed=0,
                          lr_lora=1e30, lr_theta=1e30)
         with pytest.raises(NumericError) as exc:
-            apiq_lw_layer(lay, x @ lay.weight, x, plan, spec, rank=2, stream=RngState(3))
+            apiq_lw_layer(lay, x @ lay.weight, x, plan, spec, stream=RngState(3))
         msg = str(exc.value)
         assert "blocks.0.attn.q" in msg and "epoch" in msg and "batch" in msg
 
@@ -236,26 +233,24 @@ class TestApiqLwLayer:
         # inputs at 1e21: the first step's loss (about 3e36) is finite in f32
         # and its gradient in W_eff (about 1e39) is not; at 1e12 a gradient
         # is finite and its square, AdamW's second moment, is not
-        spec = QuantSpec(bits=8, group=4)
+        spec = QuantSpec(bits=8, group=4, rank=2)
         plan = CalibPlan(method="apiq-lw", epochs=1, batch=2, seed=0)
         for scale in (1e21, 1e12):
             optimized_arrays.clear()
             lay = _linear("blocks.0.attn.q", RngState(1).randn((4, 4)) * 0.1)
             x = (RngState(2).randn((2, 2, 4)) * scale).astype(np.float32)
             with pytest.raises(NumericError, match="blocks.0.attn.q, epoch 1, batch 0"):
-                apiq_lw_layer(lay, x @ lay.weight, x, plan, spec, rank=2,
-                              stream=RngState(3))
+                apiq_lw_layer(lay, x @ lay.weight, x, plan, spec, stream=RngState(3))
             assert len(optimized_arrays) == 4
             assert all(np.array_equal(p, before) for p, before in optimized_arrays)
 
     def test_yq_matches_frozen_layer_apply(self):
-        spec = QuantSpec(bits=2, group=8)
+        spec = QuantSpec(bits=2, group=8, rank=2)
         w = (RngState(21).randn((8, 8)) * 0.1).astype(np.float32)
         lay = _linear("blocks.0.attn.q", w)
         xq = RngState(22).randn((3, 4, 8)).astype(np.float32)
         plan = CalibPlan(method="apiq-lw", epochs=4, batch=2, seed=1)
-        yq, _ = apiq_lw_layer(lay, xq @ w, xq, plan, spec, rank=2,
-                              stream=RngState(23))
+        yq, _ = apiq_lw_layer(lay, xq @ w, xq, plan, spec, stream=RngState(23))
         assert yq.tobytes() == (xq @ lay.effective_weight()).tobytes()
 
 
@@ -299,13 +294,12 @@ class TestApiqBwBlock:
                 grid[g * 32 + 31, :] = 255
             lay.weight = grid.astype(np.float32) * np.float32(2.0 ** -7)
         x = (RngState(31).randn((4, 8, 32)) * 0.1).astype(np.float32)
-        spec = QuantSpec(bits=8, group=32)
+        spec = QuantSpec(bits=8, group=32, rank=0)
         # clip_init = 30 saturates the sigmoid to exactly 1.0 in f32
         plan = CalibPlan(method="apiq-bw", epochs=2, batch=2, seed=0,
                          clip_init=30.0)
-        y, yq, rows = apiq_bw_block(block, x, x, plan, spec, rank=0,
-                                    stream=RngState(32), cfg=CFG,
-                                    unit="blocks.0")
+        y, yq, rows = apiq_bw_block(block, x, x, plan, spec, stream=RngState(32),
+                                    cfg=CFG, unit="blocks.0")
         assert rows[0].loss <= 1e-12
         assert float(((y - yq) ** 2).mean()) <= 1e-6
 
@@ -316,7 +310,7 @@ class TestApiqBwBlock:
         for seed in (0, 1, 2):
             model = TinyTransformer.init(CFG, seed=40 + seed)
             x = (RngState(50 + seed).randn((8, 16, 32)) * 0.5).astype(np.float32)
-            spec = QuantSpec(bits=2, group=32)
+            spec = QuantSpec(bits=2, group=32, rank=8)
             plan_kwargs = dict(epochs=20, batch=4, seed=seed)
 
             block_lw = copy.deepcopy(model.blocks[0])
@@ -326,8 +320,7 @@ class TestApiqBwBlock:
             def hook(layer, xv):
                 plan = CalibPlan(method="apiq-lw", **plan_kwargs)
                 yq, _ = apiq_lw_layer(layer, xv.value @ layer.weight, xv.value, plan,
-                                      spec, rank=8,
-                                      stream=RngState(seed).derive(counter[0]))
+                                      spec, stream=RngState(seed).derive(counter[0]))
                 counter[0] += 1
                 return ad.Var(yq)
 
@@ -339,7 +332,7 @@ class TestApiqBwBlock:
             block_bw = copy.deepcopy(model.blocks[0])
             plan = CalibPlan(method="apiq-bw", **plan_kwargs)
             _, yq_bw, rows = apiq_bw_block(
-                block_bw, x, x, plan, spec, rank=8, stream=RngState(seed),
+                block_bw, x, x, plan, spec, stream=RngState(seed),
                 cfg=CFG, unit="blocks.0")
             mse_bw = float(((yq_bw - y_full) ** 2).mean())
             gaps.append(mse_bw - mse_lw)
@@ -400,14 +393,14 @@ class TestRetainedLoss:
         return float(((y_q.astype(np.float64) - y_full) ** 2).mean())
 
     def _check_lw(self, rank, seed, n_samples):
-        spec = QuantSpec(bits=2, group=16)
+        spec = QuantSpec(bits=2, group=16, rank=rank)
         w = (RngState(70 + seed).randn((32, 16)) * 0.1).astype(np.float32)
         x = RngState(80 + seed).randn((n_samples, 4, 32)).astype(np.float32)
         x_q = x + (RngState(90 + seed).randn(x.shape) * 0.05).astype(np.float32)
         plan = CalibPlan(method="apiq-lw", epochs=6, batch=2, seed=seed)
         y_full = x @ w
         y_q, rows = apiq_lw_layer(_linear("blocks.0.mlp.down", w), y_full, x_q,
-                                  plan, spec, rank=rank, stream=RngState(seed))
+                                  plan, spec, stream=RngState(seed))
         assert min(r.loss for r in rows) == self._frozen_loss(y_q, y_full)
 
     def _check_bw(self, rank, n_samples):
@@ -416,7 +409,7 @@ class TestRetainedLoss:
         x_q = x + (RngState(91).randn(x.shape) * 0.05).astype(np.float32)
         plan = CalibPlan(method="apiq-bw", epochs=3, batch=2, seed=1)
         y_full, y_q, rows = apiq_bw_block(
-            model.blocks[0], x, x_q, plan, QuantSpec(bits=2, group=32), rank=rank,
+            model.blocks[0], x, x_q, plan, QuantSpec(bits=2, group=32, rank=rank),
             stream=RngState(1), cfg=CFG, unit="blocks.0")
         assert min(r.loss for r in rows) == self._frozen_loss(y_q, y_full)
 
@@ -445,8 +438,7 @@ class TestQuantizeModel:
     def test_all_methods_finite_and_frozen(self, toy_setup, method):
         model, calib = toy_setup
         plan = CalibPlan(method=method, epochs=4, batch=4, seed=1)
-        qm, rows = quantize_model(model, calib, plan, QuantSpec(bits=2, group=16),
-                                  rank=4)
+        qm, rows = quantize_model(model, calib, plan, QuantSpec(bits=2, group=16, rank=4))
         for lay in qm.iter_layers():
             assert lay.qstate is not None
             assert lay.weight is None
@@ -455,11 +447,9 @@ class TestQuantizeModel:
 
     def test_rtn_has_no_adapters_qlora_does(self, toy_setup):
         model, calib = toy_setup
-        spec = QuantSpec(bits=2, group=16)
-        rtn, _ = quantize_model(model, calib, CalibPlan(method="rtn", seed=0),
-                                spec, rank=4)
-        qlora, _ = quantize_model(model, calib, CalibPlan(method="qlora", seed=0),
-                                  spec, rank=4)
+        spec = QuantSpec(bits=2, group=16, rank=4)
+        rtn, _ = quantize_model(model, calib, CalibPlan(method="rtn", seed=0), spec)
+        qlora, _ = quantize_model(model, calib, CalibPlan(method="qlora", seed=0), spec)
         assert all(lay.lora is None for lay in rtn.iter_layers())
         assert all(lay.lora is not None for lay in qlora.iter_layers())
         # identical effective weights at init (B = 0)
@@ -470,8 +460,7 @@ class TestQuantizeModel:
     def test_rank_zero_clip_only(self, toy_setup, method):
         model, calib = toy_setup
         plan = CalibPlan(method=method, epochs=2, batch=4, seed=1)
-        qm, rows = quantize_model(model, calib, plan, QuantSpec(bits=2, group=16),
-                                  rank=0)
+        qm, rows = quantize_model(model, calib, plan, QuantSpec(bits=2, group=16, rank=0))
         assert all(lay.lora is None for lay in qm.iter_layers())
         assert np.isfinite(qm.forward(calib.tokens[:2]).value).all()
 
@@ -483,13 +472,11 @@ class TestQuantizeModel:
         pretrain(model, corpus_tokens, PretrainPlan(steps=60, lr=1e-3, batch=8,
                                                     seq_len=64, weight_decay=0.1, seed=2))
         calib = sample_calib(corpus_tokens, 8, 64, seed=3)
-        spec = QuantSpec(bits=8, group=16)
+        spec = QuantSpec(bits=8, group=16, rank=4)
         full = model.forward(calib.tokens).value
-        rtn, _ = quantize_model(model, calib, CalibPlan(method="rtn", seed=3),
-                                spec, rank=4)
+        rtn, _ = quantize_model(model, calib, CalibPlan(method="rtn", seed=3), spec)
         lw, _ = quantize_model(model, calib,
-                               CalibPlan(method="apiq-lw", epochs=20, seed=3),
-                               spec, rank=4)
+                               CalibPlan(method="apiq-lw", epochs=20, seed=3), spec)
         mse_rtn = float(((rtn.forward(calib.tokens).value - full) ** 2).mean())
         mse_lw = float(((lw.forward(calib.tokens).value - full) ** 2).mean())
         assert mse_lw < mse_rtn
@@ -499,8 +486,7 @@ class TestQuantizeModel:
         # model actually produces when run end to end
         model, calib = toy_setup
         plan = CalibPlan(method="apiq-lw", epochs=2, batch=4, seed=5)
-        qm, _ = quantize_model(model, calib, plan, QuantSpec(bits=2, group=16),
-                               rank=4)
+        qm, _ = quantize_model(model, calib, plan, QuantSpec(bits=2, group=16, rank=4))
         seen = []
 
         def hook(layer, xv):
@@ -522,8 +508,7 @@ class TestQuantizeModel:
 
         monkeypatch.setattr(TinyTransformer, "forward", forward)
         plan = CalibPlan(method=method, epochs=1, batch=4, seed=1)
-        qm, _ = quantize_model(model, calib, plan, QuantSpec(bits=2, group=16),
-                               rank=2)
+        qm, _ = quantize_model(model, calib, plan, QuantSpec(bits=2, group=16, rank=2))
         assert all(lay.qstate is not None for lay in qm.iter_layers())
 
     def test_calibration_bitwise_reproducible(self, toy_setup, tmp_path):
@@ -532,8 +517,7 @@ class TestQuantizeModel:
         paths = []
         for run in range(2):
             plan = CalibPlan(method="apiq-bw", epochs=2, batch=4, seed=7)
-            qm, _ = quantize_model(model, calib, plan, QuantSpec(bits=2, group=16),
-                                   rank=4)
+            qm, _ = quantize_model(model, calib, plan, QuantSpec(bits=2, group=16, rank=4))
             p = tmp_path / f"run{run}.ckpt"
             model_io.save_model(qm, p)
             paths.append(p.read_bytes())
@@ -542,8 +526,7 @@ class TestQuantizeModel:
     def test_clip_factors_stay_in_unit_interval(self, toy_setup):
         model, calib = toy_setup
         plan = CalibPlan(method="apiq-lw", epochs=3, batch=4, seed=8)
-        qm, _ = quantize_model(model, calib, plan, QuantSpec(bits=2, group=16),
-                               rank=2)
+        qm, _ = quantize_model(model, calib, plan, QuantSpec(bits=2, group=16, rank=2))
         from apiq.autodiff import sigmoid_fwd
         for lay in qm.iter_layers():
             cg = sigmoid_fwd(lay.qstate.clip.gamma)
@@ -552,12 +535,10 @@ class TestQuantizeModel:
 
     def test_starting_point_metric_not_worse_than_baseline(self, toy_setup):
         model, calib = toy_setup
-        spec = QuantSpec(bits=2, group=16)
+        spec = QuantSpec(bits=2, group=16, rank=8)
         lw, _ = quantize_model(model, calib,
-                               CalibPlan(method="apiq-lw", epochs=20, seed=9),
-                               spec, rank=8)
-        rtn, _ = quantize_model(model, calib, CalibPlan(method="rtn", seed=9),
-                                spec, rank=8)
+                               CalibPlan(method="apiq-lw", epochs=20, seed=9), spec)
+        rtn, _ = quantize_model(model, calib, CalibPlan(method="rtn", seed=9), spec)
         prof_lw = activation_error_profile(model, lw, calib.tokens)
         prof_rtn = activation_error_profile(model, rtn, calib.tokens)
         for a, b in zip(prof_lw.records, prof_rtn.records):
@@ -568,11 +549,11 @@ class TestQuantizeModel:
     def test_quant_meta_holds_spec_and_shared_rank(self, toy_setup, method, rank):
         from apiq.model_io import model_entries
         model, calib = toy_setup
-        spec = QuantSpec(bits=2, group=16)
+        spec = QuantSpec(bits=2, group=16, rank=rank)
         qm, _ = quantize_model(model, calib, CalibPlan(method=method, epochs=1, seed=1),
-                               spec, rank=rank)
-        assert qm.quant == spec and model.quant is None
+                               spec)
         shared = 0 if method == "rtn" else rank
+        assert qm.quant == QuantSpec(bits=2, group=16, rank=shared) and model.quant is None
         assert {0 if lay.lora is None else lay.lora.a.shape[1]
                 for lay in qm.iter_layers()} == {shared}
         meta = dict(model_entries(qm))["quant.meta"]
@@ -581,23 +562,22 @@ class TestQuantizeModel:
     def test_already_quantized_rejected(self, toy_setup):
         model, calib = toy_setup
         plan = CalibPlan(method="rtn", seed=0)
-        qm, _ = quantize_model(model, calib, plan, QuantSpec(bits=2, group=16),
-                               rank=0)
+        qm, _ = quantize_model(model, calib, plan, QuantSpec(bits=2, group=16, rank=0))
         with pytest.raises(ConfigError):
-            quantize_model(qm, calib, plan, QuantSpec(bits=2, group=16), rank=0)
+            quantize_model(qm, calib, plan, QuantSpec(bits=2, group=16, rank=0))
 
     def test_rank_exceeding_min_dim_rejected(self, toy_setup):
         model, calib = toy_setup
         with pytest.raises(ConfigError):
             quantize_model(model, calib, CalibPlan(method="qlora", seed=0),
-                           QuantSpec(bits=2, group=16), rank=33)
+                           QuantSpec(bits=2, group=16, rank=33))
 
     def test_per_group_clip_calibrates_and_roundtrips(self, toy_setup, tmp_path):
         from apiq import model_io
         model, calib = toy_setup
-        spec = QuantSpec(bits=2, group=16, clip_granularity="per-group")
+        spec = QuantSpec(bits=2, group=16, clip_granularity="per-group", rank=2)
         plan = CalibPlan(method="apiq-lw", epochs=2, batch=4, seed=11)
-        qm, _ = quantize_model(model, calib, plan, spec, rank=2)
+        qm, _ = quantize_model(model, calib, plan, spec)
         lay = qm.blocks[0].layers["q"]
         assert lay.qstate.clip.gamma.shape == (32 // 16, 32)
         p = tmp_path / "pg.ckpt"

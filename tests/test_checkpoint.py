@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ CFG = ModelConfig(vocab=32, d_model=16, n_heads=2, d_ff=24, n_blocks=1, max_seq=
 
 def _quantized_model(bits=2):
     m = TinyTransformer.init(CFG, seed=3)
-    spec = QuantSpec(bits=bits, group=8)
+    spec = QuantSpec(bits=bits, group=8, rank=2)
     rng = RngState(5)
     m.quant = spec
     for lay in m.iter_layers():
@@ -233,6 +235,35 @@ class TestModelCheckpoints:
             assert np.array_equal(unpack(lay.qstate.codes), unpack(lay2.qstate.codes))
 
 
+class TestSaveChecks:
+    """`model_entries` refuses a model whose adapters are not those its
+    `quant` gives (the rank on each quantized layer, none elsewhere), so
+    `save_model` writes no file that `load_model` refuses."""
+
+    def _drop_last_adapter(m):
+        m.blocks[-1].layers["down"].lora = None
+
+    def _full_precision_adapter(m):
+        full = TinyTransformer.init(CFG, seed=3)
+        full.blocks[0].layers["q"].lora = m.blocks[0].layers["q"].lora
+        return full
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda m: setattr(m, "quant", dataclasses.replace(m.quant, rank=4)),
+         "blocks.0.attn.q has adapter rank 2, where the model's quant gives it 4"),
+        (_drop_last_adapter, "blocks.0.mlp.down has adapter rank None"),
+        (_full_precision_adapter, "blocks.0.attn.q has adapter rank 2, where the "
+                                  "model's quant gives it None"),
+    ], ids=["rank-2-under-4", "last-adapter-dropped", "full-precision-adapter"])
+    def test_save_refuses_and_writes_nothing(self, tmp_path, edit, named):
+        m = _quantized_model()
+        m = edit(m) or m
+        p = tmp_path / "q.ckpt"
+        with pytest.raises(ValueError, match=named):
+            model_io.save_model(m, p)
+        assert not p.exists()
+
+
 def _resave(src, dst, edits):
     """Copy checkpoint `src` to `dst`, replacing tensors named in `edits`."""
     save_tensors(dst, [(n, edits.get(n, t)) for n, t in load_tensors(src)])
@@ -256,7 +287,7 @@ class TestLoadChecks:
         ("blocks.0.attn.q.qcodes", pack(np.zeros((16, 8)), QuantSpec(bits=2))),
         ("blocks.0.attn.q.qcodes", pack(np.zeros((16, 16)), QuantSpec(bits=4))),
         ("blocks.0.attn.q.zero", pack(np.zeros((2, 16)), QuantSpec(bits=2))),
-        # an adapter rank is read only from a (d1, r) float lora_a
+        # a lora_a other than the (16, 2) float one of the quant.meta rank
         ("blocks.0.attn.q.lora_a", pack(np.zeros((16, 2)), QuantSpec(bits=2))),
         ("blocks.0.attn.q.lora_a", np.zeros(32, dtype=np.float32)),
         ("blocks.0.attn.q.lora_a", np.zeros((0, 2 ** 40), dtype=np.float32)),
@@ -273,6 +304,19 @@ class TestLoadChecks:
     def test_bad_config_raises_format_error(self, qckpt, tmp_path, config):
         bad_path = _resave(qckpt, tmp_path / "bad.ckpt", {"config": config})
         with pytest.raises(FormatError):
+            model_io.load_model(bad_path)
+
+    def test_huge_rank_fails_before_any_adapter_is_allocated(self, qckpt, tmp_path,
+                                                            monkeypatch):
+        meta = dict(load_tensors(qckpt))["quant.meta"].copy()
+        meta[3] = 2.0 ** 40
+        bad_path = _resave(qckpt, tmp_path / "bad.ckpt", {"quant.meta": meta})
+
+        def no_adapter(**_):
+            raise AssertionError("an adapter was allocated")
+
+        monkeypatch.setattr(model_io, "LoraPair", no_adapter)
+        with pytest.raises(FormatError, match="rank 1099511627776 exceeds min dim 16"):
             model_io.load_model(bad_path)
 
     def test_short_quant_meta_raises_format_error(self, qckpt, tmp_path):

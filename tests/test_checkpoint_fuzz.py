@@ -42,7 +42,7 @@ def files(tmp_path_factory):
     full = TinyTransformer.init(CFG, seed=1)
     calib = sample_calib(tokens.astype(np.int64), 2, 16, seed=0)
     qlora, _ = quantize_model(full, calib, CalibPlan(method="qlora"),
-                              QuantSpec(bits=2, group=8), rank=2)
+                              QuantSpec(bits=2, group=8, rank=2))
     for name, model in (("full", full), ("qlora", qlora)):
         model_io.save_model(model, root / f"{name}.ckpt")
     return root

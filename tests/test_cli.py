@@ -280,6 +280,15 @@ class TestQuantize:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    def test_rtn_rank_above_a_layer_dim_exit_2(self, ws, pretrained, capsys):
+        # rtn attaches no adapter, but the configured rank must still fit
+        out = ws / "rank100.ckpt"
+        assert main(["quantize", "--config", str(ws / "run.cfg"), "--in", str(pretrained),
+                     "--corpus", str(ws / "corpus.txt"), "--method", "rtn",
+                     "--rank", "100", "--out", str(out)]) == 2
+        assert "rank 100 exceeds min dim 32" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_quantize_twice_exit_2(self, ws, quantized):
         assert main(["quantize", "--config", str(ws / "run.cfg"),
                      "--in", str(quantized), "--method", "rtn", "--bits", "2",
@@ -1010,7 +1019,8 @@ class TestCorruptCheckpoints:
 
     def test_mixed_adapter_ranks_exit_3(self, ws, quantized, capsys):
         # quant.meta records one rank that every adapter shares; save_model
-        # writes no file with two ranks, so none loads
+        # writes no file with two ranks, so none loads: the walk fails at the
+        # first adapter of another rank
         def edit(n, t):
             return t[:, :2] if n.startswith("blocks.0.attn.q.lora_") else t
 
@@ -1018,7 +1028,7 @@ class TestCorruptCheckpoints:
         save_tensors(bad, [(n, edit(n, t)) for n, t in load_tensors(quantized)])
         assert main(["eval", "--config", str(ws / "run.cfg"), "--in", str(bad),
                      "--corpus", str(ws / "corpus.txt")]) == 3
-        assert "adapters of mixed ranks [2, 4]" in capsys.readouterr().err
+        assert "'blocks.0.attn.q.lora_a'" in capsys.readouterr().err
 
     # kinds save_model never writes: a tensor or header in the other float
     # width (each loaded and evaluated with exit 0, and saved other bytes)

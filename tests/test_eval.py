@@ -64,7 +64,7 @@ class TestPerplexity:
         model, _ = quantize_model(TinyTransformer.init(cfg, seed=41),
                                   sample_calib(corpus, 4, 32, seed=0),
                                   CalibPlan(method="loftq", loftq_iters=1),
-                                  QuantSpec(bits=2, group=16), rank=4)
+                                  QuantSpec(bits=2, group=16, rank=4))
         n_chunks = len(corpus) // chunk_len
         assert n_chunks % 64
         chunks = corpus[: n_chunks * chunk_len].reshape(n_chunks, chunk_len)
@@ -127,7 +127,7 @@ class TestActivationProfile:
             out = {}
             for bits in (8, 2):
                 qm, _ = quantize_model(m, calib, CalibPlan(method="rtn", seed=seed),
-                                       QuantSpec(bits=bits, group=16), rank=0)
+                                       QuantSpec(bits=bits, group=16, rank=0))
                 out[bits] = activation_error_profile(m, qm, calib.tokens)
             for r8, r2 in zip(out[8].records, out[2].records):
                 assert r8.value < r2.value
@@ -153,7 +153,7 @@ class TestActivationProfile:
         corpus = RngState(13).randint(0, 256, (4096,))
         calib = sample_calib(corpus, 4, 32, seed=2)
         qm, _ = quantize_model(m, calib, CalibPlan(method="loftq", loftq_iters=1),
-                               QuantSpec(bits=2, group=16), rank=4)
+                               QuantSpec(bits=2, group=16, rank=4))
 
         def layer_outputs(model):
             outs = []
@@ -179,7 +179,7 @@ class TestActivationProfile:
         corpus = RngState(11).randint(0, 256, (4096,))
         calib = sample_calib(corpus, 4, 32, seed=1)
         qm, _ = quantize_model(m, calib, CalibPlan(method="rtn", seed=1),
-                               QuantSpec(bits=2, group=16), rank=0)
+                               QuantSpec(bits=2, group=16, rank=0))
         a = activation_error_profile(m, qm, calib.tokens)
         b = activation_error_profile(m, qm, calib.tokens)
         assert [r.value for r in a.records] == [r.value for r in b.records]
@@ -190,9 +190,8 @@ class TestWeightError:
         m = TinyTransformer.init(CFG, seed=50 + seed)
         corpus = RngState(60 + seed).randint(0, 256, (4096,))
         calib = sample_calib(corpus, 4, 32, seed=seed)
-        spec = QuantSpec(bits=2, group=16)
-        rtn, _ = quantize_model(m, calib, CalibPlan(method="rtn", seed=seed),
-                                spec, rank=4)
+        spec = QuantSpec(bits=2, group=16, rank=4)
+        rtn, _ = quantize_model(m, calib, CalibPlan(method="rtn", seed=seed), spec)
         return m, rtn
 
     def test_tsv_shape(self, tmp_path):
@@ -214,7 +213,7 @@ class TestHistograms:
         calib = sample_calib(corpus, 4, 32, seed=3)
         qm, _ = quantize_model(m, calib,
                                CalibPlan(method=method, epochs=3, seed=3),
-                               QuantSpec(bits=2, group=16), rank=4)
+                               QuantSpec(bits=2, group=16, rank=4))
         return m, qm.blocks[0].layers["q"]
 
     def test_counts_conserved_and_recount_oracle(self):

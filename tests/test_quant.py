@@ -347,6 +347,30 @@ class TestSameArithmetic:
         assert q.tobytes() == fake_quant(w, clip, spec).tobytes()
 
 
+def _ref_pack(codes, b):
+    """The former shift-and-mask `pack`, as reference bytes."""
+    d1, d2 = codes.shape
+    row_bytes = (d2 * b + 7) // 8
+    if codes.size == 0:
+        return b""
+    bits = (codes.astype(np.uint8)[:, :, None] >> np.arange(b, dtype=np.uint8)) & 1
+    padded = np.zeros((d1, row_bytes * 8), dtype=np.uint8)
+    padded[:, : d2 * b] = bits.reshape(d1, d2 * b)
+    return np.packbits(padded, axis=1, bitorder="little").tobytes()
+
+
+def _ref_unpack(data, shape, b):
+    """The former weighted-sum `unpack`."""
+    d1, d2 = shape
+    row_bytes = (d2 * b + 7) // 8
+    if d1 * row_bytes == 0:
+        return np.zeros((d1, d2), dtype=np.uint8)
+    arr = np.frombuffer(data, dtype=np.uint8).reshape(d1, row_bytes)
+    bits = np.unpackbits(arr, axis=1, bitorder="little")[:, : d2 * b].reshape(d1, d2, b)
+    weights = np.uint16(1) << np.arange(b, dtype=np.uint16)
+    return (bits.astype(np.uint16) * weights).sum(axis=2).astype(np.uint8)
+
+
 class TestPack:
     def test_hand_packed_byte(self):
         codes = np.array([[0, 1, 2, 3]], dtype=np.uint8)
@@ -397,6 +421,20 @@ class TestPack:
         codes = RngState(seed).randint(0, spec.qmax + 1, (d1, d2)).astype(np.uint8)
         assert np.array_equal(unpack(pack(codes, spec)), codes)
 
+    @pytest.mark.parametrize("bits", [2, 3, 4, 8])
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (1, 1), (1, 8), (5, 7),
+                                       (3, 9), (16, 33), (128, 64)])
+    def test_same_bytes_as_shift_and_mask_reference(self, bits, shape):
+        spec = QuantSpec(bits=bits, group=1)
+        codes = RngState(bits * 1000 + shape[0] * 31 + shape[1]).randint(
+            0, spec.qmax + 1, shape).astype(np.uint8)
+        packed = pack(codes, spec)
+        ref = _ref_pack(codes, bits)
+        assert packed.data == ref and packed.shape == shape and packed.bits == bits
+        got, want = unpack(packed, spec), _ref_unpack(ref, shape, bits)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_unpack_spec_bits_mismatch(self):
         packed = pack(np.array([[1, 0]], dtype=np.uint8), QuantSpec(bits=2, group=1))
         with pytest.raises(FormatError):
@@ -417,6 +455,20 @@ class TestSpecValidation:
         from apiq.errors import ConfigError
         with pytest.raises(ConfigError):
             QuantSpec(bits=2, group=0)
+
+    @pytest.mark.parametrize("group,rank,d1,d2,named", [
+        (16, 8, 24, 32, "group size 16 does not divide layer L input dim 24"),
+        (8, 17, 32, 16, "rank 17 exceeds min dim 16 of layer L"),
+        (8, 17, 16, 32, "rank 17 exceeds min dim 16 of layer L"),
+    ])
+    def test_check_fits_rejects(self, group, rank, d1, d2, named):
+        from apiq.errors import ConfigError
+        with pytest.raises(ConfigError, match=named):
+            QuantSpec(group=group, rank=rank).check_fits("L", d1, d2)
+
+    @pytest.mark.parametrize("rank", [0, 16])
+    def test_check_fits_accepts(self, rank):
+        QuantSpec(group=8, rank=rank).check_fits("L", 32, 16)
 
     def test_bad_granularity(self):
         from apiq.errors import ConfigError

@@ -14,7 +14,7 @@ from apiq.train import FinetunePlan, PretrainPlan
 NUMERIC_KEYS = [k for k, (typ, *_) in SCHEMA.items() if typ in (int, float)]
 FLOAT_KEYS = [k for k, (typ, *_) in SCHEMA.items() if typ is float]
 # the keys no one class owns
-UNOWNED = ("seed", "quant.rank", "eval.chunk_len")
+UNOWNED = ("seed", "eval.chunk_len")
 
 
 def test_defaults_complete():
@@ -94,7 +94,7 @@ def test_sections_build_their_consumers():
             == FinetunePlan(lora_position="ffn", seed=7))
 
 
-def test_every_key_but_three_is_one_class_field():
+def test_every_key_but_two_is_one_class_field():
     owned = [f"{prefix}.{f.name}" for prefix, cls in _CLASSES
              for f in dataclasses.fields(cls) if f.name != "seed"]
     assert sorted(owned + list(UNOWNED)) == sorted(SCHEMA)

@@ -54,7 +54,7 @@ def test_squared_gradient_overflow_aborts_before_numpy_warns(corpus_tokens,
     model = TinyTransformer.init(ModelConfig(d_model=16, n_heads=2, d_ff=32,
                                              n_blocks=1, max_seq=32), seed=0)
     qmodel, _ = quantize_model(model, CalibSet(tokens=np.zeros((1, 4), np.int64)),
-                               CalibPlan(method="qlora"), QuantSpec(group=8), rank=2)
+                               CalibPlan(method="qlora"), QuantSpec(group=8, rank=2))
     qmodel.blocks[0].layers["q"].lora.a[0, 0] = 3e38
     corpus = corpus_tokens[:2000]
     plan = train.FinetunePlan(epochs=1, batch=4, seq_len=16)
